@@ -14,7 +14,6 @@ wrapping silently.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from .errors import NotPrimePowerError, UnsupportedFieldError
 
@@ -359,24 +358,3 @@ def qpoly_from_text(text):
         return QPoly()
     return QPoly(int(tok) for tok in inner.split(","))
 
-
-def all_field_tables_consistent(q):
-    """Exhaustive field-axiom check; used by the self test."""
-    f = gf(q)
-    els = list(f.elements())
-    for a, b in product(els, repeat=2):
-        if f.add(a, b) != f.add(b, a) or f.mul(a, b) != f.mul(b, a):
-            return False
-    for a, b, c in product(els, repeat=3):
-        if f.add(f.add(a, b), c) != f.add(a, f.add(b, c)):
-            return False
-        if f.mul(f.mul(a, b), c) != f.mul(a, f.mul(b, c)):
-            return False
-        if f.mul(a, f.add(b, c)) != f.add(f.mul(a, b), f.mul(a, c)):
-            return False
-    for a in els:
-        if f.add(a, 0) != a or f.mul(a, 1) != a or f.add(a, f.neg(a)) != 0:
-            return False
-        if a and f.mul(a, f.inv(a)) != 1:
-            return False
-    return True

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success (or a verified identity), 1 when a verification
-fails, 2 on usage or input errors.  Every command takes --json; census also
-takes --csv.  The enumeration ceiling can be overridden by --max-size or the
-QLATTICE_MAX_SIZE environment variable.
+fails or a census invariant is violated, 2 on usage or input errors (a
+negative --n among them).  A reader that closes stdout early (``| head``)
+ends the command quietly with exit 1.  Every command takes --json; census
+also takes --csv.  The enumeration ceiling can be overridden by --max-size
+or the QLATTICE_MAX_SIZE environment variable.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from .decomp import sbd, scd, scd_cover
 from .errors import TooLargeError
 from .identities import fiber_census, verify_ds, verify_fs
 from .involution import biane, enumerate_involutions, parse_involution
-from .matspace import (format_matrix, left_pivots, parse_matrix, right_pivots,
-                       rref_left)
-from .motzkin import enumerate_paths, parse_path
+from .matspace import (DEFAULT_MAX_SIZE, format_matrix, left_pivots,
+                       parse_matrix, right_pivots, rref_left)
+from .motzkin import enumerate_paths, motzkin_number, parse_path
 from .psi import classify_columns, psi, set_and_subset
 
 
@@ -49,6 +51,12 @@ def _emit(args, payload, text):
 
 
 def _cmd_paths(args):
+    limit = _max_size(args)
+    limit = DEFAULT_MAX_SIZE if limit is None else limit
+    total = motzkin_number(args.n)
+    if total > limit:
+        raise TooLargeError(
+            f"{total} paths of length {args.n}, above the ceiling {limit}")
     paths = [p.steps for p in enumerate_paths(args.n)]
     _emit(args, {"n": args.n, "count": len(paths), "paths": paths},
           "\n".join(paths) if paths else "")
@@ -186,7 +194,11 @@ def _cmd_identity(args):
 
 def _cmd_census(args):
     field = gf(args.q)
-    rows = fiber_census(field, args.n, _max_size(args))
+    try:
+        rows = fiber_census(field, args.n, _max_size(args))
+    except RuntimeError as exc:
+        print(f"error: census invariant violated: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps([{
             "path": r.path.steps, "downs": r.path.down_count,
@@ -313,8 +325,21 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "n", None) is not None and args.n < 0:
+        print(f"error: --n must be nonnegative, got {args.n}", file=sys.stderr)
+        return 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # flush here so that a closed pipe is seen inside this try block
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush
+        # at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (TooLargeError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,14 @@ path-preserving); their multi-column iterates; the Boolean block spanned by
 a primary rref; and the chain decomposition obtained by transporting the
 bracket-matching chains of a finite Boolean algebra through the insertions.
 
+Insertion needs only the row c (I + b^T c)^-1, which by Sherman-Morrison is
+the scalar multiple c / (1 + b . c^T); :func:`gamma` and :func:`gamma_inv`
+remain as the reference matrices it is tested against.  A block member
+ins_set(x, S) is built from the member at S - {min S} by one insertion, the
+last step ins_set itself takes, so a block costs one insertion per member
+besides its primary; the chain decomposition reads its chains from the same
+member maps.
+
 Bracket matching convention: inside the ground set J, an element of I reads
 ")" and an element of J - I reads "("; adjacent pairs are matched
 iteratively.  The chain through I varies the unmatched positions, filling
@@ -20,11 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .matspace import (DEFAULT_MAX_SIZE, Mat, Rref, enumerate_subspaces,
-                       express_in_rows, lexically_first_basis,
-                       pivot_count_upto)
+from .matspace import (Mat, Rref, enumerate_subspaces, express_in_rows,
+                       lexically_first_basis, pivot_count_upto)
 from .motzkin import MotzkinPath
-from .psi import classify_column, is_primary, psi, set_and_subset
+from .psi import classify_column, pivot_data, set_and_subset
 
 
 def mu(field, d, x):
@@ -98,6 +105,17 @@ def gamma_inv(field, b, c):
     return Mat(field, s, rows)
 
 
+def _inverse_update_row(field, b, c):
+    """The row c (I + b^T c)^-1, computed as c / (1 + b . c^T) without
+    forming the matrix; equals c times :func:`gamma_inv` (b, c)."""
+    add, mul = field.add, field.mul
+    dot = 0
+    for x, y in zip(b, c):
+        dot = add(dot, mul(x, y))
+    scale = field.inv(add(1, dot))
+    return [mul(scale, y) for y in c]
+
+
 def _vec_times_rows(field, vec, rows, width):
     add, mul = field.add, field.mul
     out = [0] * width
@@ -154,7 +172,11 @@ def del_col(x, j):
 def ins_col(x, j):
     """Insert a pivot at the nonpivotal inessential column j: the result
     contains x with dimension one higher and the same Motzkin path.  Inverse
-    of :func:`del_col` at j."""
+    of :func:`del_col` at j.
+
+    The new pivot row carries u . basis, where u = c (I + b^T c)^-1 for the
+    column data b above j and c = phi(b); u is the scalar multiple
+    c / (1 + b . c^T), which phi keeps defined."""
     cls = classify_column(x, j)
     if not (not cls.pivotal and not cls.essential):
         raise ValueError(
@@ -168,9 +190,7 @@ def ins_col(x, j):
     basis_idx = lexically_first_basis(f, sect, width)
     basis = [sect[i - 1] for i in basis_idx]
     b = tuple(dcol[i - 1] for i in basis_idx)
-    c = phi(f, b)
-    ginv = gamma_inv(f, b, c)
-    u = _vec_times_rows(f, c, ginv.rows, len(b))
+    u = _inverse_update_row(f, b, phi(f, b))
     a = _vec_times_rows(f, u, basis, width)
     newrow = [0] * n
     newrow[j - 1] = 1
@@ -227,26 +247,34 @@ class BooleanBlock:
         return self.primary.dim + len(self.ground)
 
 
-def boolean_block(x):
-    """Build the block of the primary rref x."""
-    if not is_primary(x):
-        raise ValueError("boolean_block requires a primary rref")
-    ground = tuple(sorted(set_and_subset(x)[0]))
-    members = {}
-    for size in range(len(ground) + 1):
+def _block_members(x, ground):
+    """{S: ins_set(x, S)} over the subsets S of the sorted ground set, by
+    size and then lexicographically.  Each member is one insertion of min S
+    into the member at S - {min S}, which is the last step of ins_set."""
+    members = {frozenset(): x}
+    for size in range(1, len(ground) + 1):
         for cols in combinations(ground, size):
-            members[frozenset(cols)] = ins_set(x, cols)
-    return BooleanBlock(x, psi(x), ground, members)
+            members[frozenset(cols)] = ins_col(
+                members[frozenset(cols[1:])], cols[0])
+    return members
+
+
+def boolean_block(x):
+    """Build the block of the primary rref x from one pass over its pivot
+    sets; raises ValueError when x has an inessential pivot.  The members
+    are built incrementally, one insertion each."""
+    path, ground, inl_pivots = pivot_data(x)
+    if inl_pivots:
+        raise ValueError("boolean_block requires a primary rref")
+    ground = tuple(sorted(ground))
+    return BooleanBlock(x, path, ground, _block_members(x, ground))
 
 
 def sbd(field, n, max_size=None):
     """The symmetric Boolean decomposition of the subspace lattice of
     F_q^n: one block per primary rref, in enumeration order."""
-    blocks = []
-    for x in enumerate_subspaces(field, n, max_size):
-        if not set_and_subset(x)[1]:
-            blocks.append(boolean_block(x))
-    return blocks
+    return [boolean_block(x) for x in enumerate_subspaces(field, n, max_size)
+            if not pivot_data(x).inessential_pivots]
 
 
 def _bracket_scan(ground, members):
@@ -336,13 +364,16 @@ class ChainDecomposition:
 def scd(field, n, max_size=None):
     """The symmetric chain decomposition of the subspace lattice of F_q^n,
     obtained by transporting the bracket chains of every Boolean block
-    through the insertion maps."""
-    limit = DEFAULT_MAX_SIZE if max_size is None else max_size
+    through the insertion maps: each chain member at the set S is the block
+    member ins_set(primary, S), read from the block's incrementally built
+    member map."""
     chains = []
-    for x in enumerate_subspaces(field, n, limit):
-        ground, inl_pivots = set_and_subset(x)
+    for x in enumerate_subspaces(field, n, max_size):
+        _, ground, inl_pivots = pivot_data(x)
         if inl_pivots:
             continue
-        for sets in bracket_chains(sorted(ground)):
-            chains.append([ins_set(x, cols) for cols in sets])
+        ground = sorted(ground)
+        members = _block_members(x, ground)
+        chains.extend([members[cols] for cols in sets]
+                      for sets in bracket_chains(ground))
     return ChainDecomposition(field, n, chains)

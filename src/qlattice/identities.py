@@ -21,7 +21,7 @@ from .errors import TooLargeError
 from .involution import biane, enumerate_involutions, involution_count
 from .matspace import DEFAULT_MAX_SIZE, enumerate_subspaces
 from .motzkin import MotzkinPath, enumerate_paths, motzkin_number
-from .psi import psi, set_and_subset
+from .psi import pivot_data
 
 _QM1 = QPoly((-1, 1))  # q - 1
 
@@ -148,10 +148,10 @@ def fiber_census(field, n, max_size=None):
     counts = {}
     rank_counts = [0] * (n + 1)
     for x in enumerate_subspaces(field, n, max_size):
-        steps = psi(x).steps
-        entry = counts.setdefault(steps, [0, 0])
+        path, _, inl_pivots = pivot_data(x)
+        entry = counts.setdefault(path.steps, [0, 0])
         entry[1] += 1
-        if not set_and_subset(x)[1]:
+        if not inl_pivots:
             entry[0] += 1
         rank_counts[x.dim] += 1
     q = field.q

@@ -5,7 +5,9 @@ column is a left pivot but not a right pivot, D for the converse, H where
 the column is in both pivot sets or neither.  An equivalent description
 classifies each column as pivotal/nonpivotal and essential/inessential via
 the sections of the matrix; both routes are implemented so they can be
-checked against each other.
+checked against each other.  The pivot-set route runs in one place,
+:func:`pivot_data`, which yields the path, the inessential columns and the
+inessential pivots from a single right-to-left elimination.
 
 The section at column j is the submatrix formed by the rows whose pivot is
 at or before j and the columns strictly after j.  Column j is essential when
@@ -75,9 +77,21 @@ def classify_columns(x):
     return tuple(classify_column(x, j) for j in range(1, x.n + 1))
 
 
-def psi(x):
-    """The Motzkin path of a subspace, read from its left and right pivot
-    sets.  The prefix height at j equals the rank of the section at j."""
+class PivotData(NamedTuple):
+    path: MotzkinPath
+    inessential: frozenset
+    inessential_pivots: frozenset
+
+
+def pivot_data(x):
+    """(path, inessential columns, inessential pivotal columns) of a
+    subspace from one pass over its pivot sets.
+
+    A column is a left pivot, a right pivot, both or neither.  The step is U
+    where it is a left pivot only, D where it is a right pivot only and H
+    otherwise; the H columns are the inessential ones, and those in both
+    sets are the inessential pivots, empty exactly for primary rrefs.
+    """
     lp = left_pivots(x)
     rp = right_pivots(x)
     steps = []
@@ -91,11 +105,19 @@ def psi(x):
             steps.append("H")
     word = "".join(steps)
     try:
-        return MotzkinPath(word)
+        path = MotzkinPath(word)
     except ValueError as exc:
         raise RuntimeError(
             f"pivot sets of\n{x}\nproduced the non-path word {word!r}: {exc}"
         ) from exc
+    full = frozenset(range(1, x.n + 1))
+    return PivotData(path, full - (lp ^ rp), lp & rp)
+
+
+def psi(x):
+    """The Motzkin path of a subspace, read from its left and right pivot
+    sets.  The prefix height at j equals the rank of the section at j."""
+    return pivot_data(x).path
 
 
 def path_from_classification(x):
@@ -126,7 +148,4 @@ def set_and_subset(x):
     """(inessential columns, inessential pivotal columns), computed from the
     pivot sets: the complement of their symmetric difference, and their
     intersection.  The subset part is empty exactly for primary rrefs."""
-    lp = left_pivots(x)
-    rp = right_pivots(x)
-    full = frozenset(range(1, x.n + 1))
-    return full - (lp ^ rp), lp & rp
+    return pivot_data(x)[1:]

@@ -1,7 +1,10 @@
 import json
+import os
+import sys
 
 import pytest
 
+import qlattice.cli
 from qlattice.cli import main
 
 
@@ -160,6 +163,63 @@ def test_max_size_flag_and_env(capsys, monkeypatch):
     monkeypatch.delenv("QLATTICE_MAX_SIZE")
     code, _, _ = run(capsys, "census", "--q", "2", "--n", "4")
     assert code == 0
+
+
+def test_paths_respects_the_ceiling(capsys, monkeypatch):
+    code, out, err = run(capsys, "paths", "--n", "20", "--max-size", "10")
+    assert code == 2 and out == ""
+    assert err == "error: 50852019 paths of length 20, above the ceiling 10\n"
+    monkeypatch.setenv("QLATTICE_MAX_SIZE", "20")
+    code, _, err = run(capsys, "paths", "--n", "5")
+    assert code == 2 and "above the ceiling 20" in err
+    code, out, _ = run(capsys, "paths", "--n", "5", "--max-size", "21")
+    assert code == 0 and len(out.split()) == 21
+
+
+@pytest.mark.parametrize("argv", [
+    ("paths",), ("involutions",), ("sbd",), ("scd",), ("census",),
+    ("identity", "fs"), ("identity", "ds")], ids="-".join)
+def test_negative_n_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--n", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --n must be nonnegative, got -1\n"
+
+
+def test_census_invariant_violation_exits_1(capsys, monkeypatch):
+    def broken_census(field, n, max_size=None):
+        raise RuntimeError("path UD: 3 primaries, predicted 2")
+
+    monkeypatch.setattr(qlattice.cli, "fiber_census", broken_census)
+    code, out, err = run(capsys, "census", "--q", "3", "--n", "2")
+    assert code == 1 and out == ""
+    assert err == ("error: census invariant violated: "
+                   "path UD: 3 primaries, predicted 2\n")
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_exits_quietly(capsys, monkeypatch, tmp_path):
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        code = main(["scd", "--q", "2", "--n", "3"])
+        monkeypatch.undo()
+        assert code == 1 and capsys.readouterr().err == ""
+        # the recipe points the dead stdout at the null device
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
 
 
 def test_unknown_flag_is_an_error():

@@ -5,12 +5,13 @@ import pytest
 
 from conftest import eight_col_family
 from qlattice import (boolean_block, bracket_chain, bracket_chains,
-                      bracket_cover, del_col, del_set, enumerate_subspaces,
-                      full_space, gamma, gamma_inv, gf, ins_col, ins_set,
-                      left_pivots, mu, mu_inv, path_from_classification, phi,
-                      phi_inv, psi, sbd, scd, scd_cover, section_ranks,
-                      set_and_subset, span, subspace_count, subspace_leq,
-                      zero_subspace)
+                      bracket_cover, classify_columns, del_col, del_set,
+                      enumerate_subspaces, full_space, gamma, gamma_inv, gf,
+                      ins_col, ins_set, is_primary, left_pivots, mu, mu_inv,
+                      path_from_classification, phi, phi_inv, psi, sbd, scd,
+                      scd_cover, section_ranks, set_and_subset, span,
+                      subspace_count, subspace_leq, zero_subspace)
+from qlattice.decomp import _inverse_update_row
 
 F2 = gf(2)
 F3 = gf(3)
@@ -113,6 +114,27 @@ def test_gamma_inverse_frozen_and_random():
                     for l in range(s):
                         acc = field.add(acc, field.mul(g[i][l], gi[l][t]))
                     assert acc == (1 if i == t else 0)
+
+
+def row_times_matrix(field, vec, rows):
+    out = [0] * len(vec)
+    for coef, row in zip(vec, rows):
+        for t, entry in enumerate(row):
+            out[t] = field.add(out[t], field.mul(coef, entry))
+    return out
+
+
+def test_scalar_update_matches_gamma_inv():
+    vectors = [(q, b) for q in (2, 3, 4, 5) for s in range(4)
+               for b in product(range(q), repeat=s)]
+    rng = random.Random(5)
+    vectors += [(q, tuple(rng.randrange(q) for _ in range(rng.randrange(7))))
+                for q in (7, 8, 9) for _ in range(200)]
+    for q, b in vectors:
+        field = gf(q)
+        c = phi(field, b)
+        assert _inverse_update_row(field, b, c) == row_times_matrix(
+            field, c, gamma_inv(field, b, c).rows)
 
 
 def test_del_col_frozen_examples():
@@ -374,3 +396,38 @@ def test_machinery_over_larger_fields(q):
                 assert hi.dim == lo.dim + 1 and subspace_leq(lo, hi)
             seen.update(chain)
         assert len(seen) == count
+
+
+ALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+
+
+def primaries(field, n):
+    """Primary rrefs with their sorted inessential columns, read off the
+    column classification rather than the pivot sets."""
+    for x in enumerate_subspaces(field, n):
+        if is_primary(x):
+            yield x, [j for j, c in enumerate(classify_columns(x), start=1)
+                      if not c.essential]
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_incremental_members_match_ins_set(q):
+    field = gf(q)
+    for n in range(5 if q <= 3 else 4):
+        for x, ground in primaries(field, n):
+            blk = boolean_block(x)
+            assert list(blk.members) == [
+                frozenset(cols) for size in range(len(ground) + 1)
+                for cols in combinations(ground, size)]
+            for cols, member in blk.members.items():
+                assert member == ins_set(x, cols)
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_scd_chains_match_ins_set(q):
+    field = gf(q)
+    for n in range(5 if q <= 3 else 4):
+        expected = [[ins_set(x, cols) for cols in sets]
+                    for x, ground in primaries(field, n)
+                    for sets in bracket_chains(ground)]
+        assert scd(field, n).chains == expected

@@ -5,7 +5,7 @@ import pytest
 from conftest import eight_col_family, six_col_family
 from qlattice import (classify_column, classify_columns, enumerate_subspaces,
                       full_space, gf, is_primary, path_from_classification,
-                      psi, section, section_profile, section_rank,
+                      pivot_data, psi, section, section_profile, section_rank,
                       section_ranks, set_and_subset, span, zero_subspace)
 
 F2 = gf(2)
@@ -132,3 +132,21 @@ def test_both_routes_agree_and_match_heights():
                 assert inl == {j for j, c in enumerate(cls, 1)
                                if c.pivotal and not c.essential}
                 assert is_primary(x) == (not inl)
+
+
+ALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_pivot_data_matches_classification(q):
+    field = gf(q)
+    for n in range(4 if q <= 3 else 3):
+        for x in enumerate_subspaces(field, n):
+            path, ground, inl = pivot_data(x)
+            classes = classify_columns(x)
+            assert path == path_from_classification(x) == psi(x)
+            assert ground == {j for j, c in enumerate(classes, start=1)
+                              if not c.essential}
+            assert inl == {j for j in ground if classes[j - 1].pivotal}
+            assert (ground, inl) == set_and_subset(x)
+            assert (not inl) == is_primary(x)
