@@ -24,7 +24,8 @@ from .matspace import (DEFAULT_MAX_SIZE, Mat, Rref, Subspace,
                        rref_left, span, subspace_count, subspace_leq,
                        zero_subspace)
 from .motzkin import (MotzkinPath, down_count, down_height_product,
-                      enumerate_paths, motzkin_number, parse_path, path_weight)
+                      enumerate_paths, motzkin_number, parse_path, path_weight,
+                      weight_sums_by_downs)
 from .psi import (ColumnClass, PivotData, classify_column, classify_columns,
                   is_primary, path_from_classification, pivot_data, psi,
                   section, section_profile, section_rank, section_ranks,
@@ -40,8 +41,8 @@ __all__ = [
     "subspace_leq", "subspace_count", "enumerate_subspaces", "is_valid_rref",
     "parse_matrix", "format_matrix", "MotzkinPath", "parse_path",
     "enumerate_paths", "path_weight", "down_count", "motzkin_number",
-    "down_height_product", "Involution", "parse_involution",
-    "enumerate_involutions", "involution_count", "involution_weight", "biane",
+    "down_height_product", "weight_sums_by_downs", "Involution",
+    "parse_involution", "enumerate_involutions", "involution_count", "involution_weight", "biane",
     "biane_fiber", "ColumnClass", "section", "section_rank", "section_ranks",
     "classify_column", "classify_columns", "psi", "path_from_classification",
     "section_profile", "PivotData", "pivot_data",

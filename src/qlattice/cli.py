@@ -21,9 +21,9 @@ from .decomp import sbd, scd, scd_cover
 from .errors import TooLargeError
 from .identities import fiber_census, verify_ds, verify_fs
 from .involution import biane, enumerate_involutions, parse_involution
-from .matspace import (DEFAULT_MAX_SIZE, format_matrix, left_pivots,
-                       parse_matrix, right_pivots, rref_left)
-from .motzkin import enumerate_paths, motzkin_number, parse_path
+from .matspace import (format_matrix, left_pivots, parse_matrix, right_pivots,
+                       rref_left)
+from .motzkin import enumerate_paths, parse_path
 from .psi import classify_columns, psi, set_and_subset
 
 
@@ -51,13 +51,7 @@ def _emit(args, payload, text):
 
 
 def _cmd_paths(args):
-    limit = _max_size(args)
-    limit = DEFAULT_MAX_SIZE if limit is None else limit
-    total = motzkin_number(args.n)
-    if total > limit:
-        raise TooLargeError(
-            f"{total} paths of length {args.n}, above the ceiling {limit}")
-    paths = [p.steps for p in enumerate_paths(args.n)]
+    paths = [p.steps for p in enumerate_paths(args.n, _max_size(args))]
     _emit(args, {"n": args.n, "count": len(paths), "paths": paths},
           "\n".join(paths) if paths else "")
     return 0

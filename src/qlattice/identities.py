@@ -12,15 +12,16 @@ violated invariant.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .algebra import QPoly
-from .errors import TooLargeError
-from .involution import biane, enumerate_involutions, involution_count
-from .matspace import DEFAULT_MAX_SIZE, enumerate_subspaces
-from .motzkin import MotzkinPath, enumerate_paths, motzkin_number
+from .involution import biane, enumerate_involutions
+from .matspace import enumerate_subspaces
+from .motzkin import (MotzkinPath, check_path_ceiling, enumerate_paths,
+                      weight_sums_by_downs)
 from .psi import pivot_data
 
 _QM1 = QPoly((-1, 1))  # q - 1
@@ -63,30 +64,44 @@ def _binom_or_zero(n, k):
     return comb(n, k)
 
 
-def verify_fs(n, max_size=None, k=None):
-    """Check, for every k (or a single one), that the q-binomial equals the
-    Motzkin-path expansion sum_P (q-1)^|P| w(P,q) C(n-2|P|, k-|P|),
-    exactly."""
-    limit = DEFAULT_MAX_SIZE if max_size is None else max_size
-    total = motzkin_number(n)
-    if total > limit:
-        raise TooLargeError(
-            f"{total} paths of length {n}, above the ceiling {limit}")
-    terms = [(p.down_count, (_QM1 ** p.down_count) * p.weight())
-             for p in enumerate_paths(n)]
+@contextmanager
+def _within_64_bits(identity, n):
+    """Name the identity, n and the bound when a coefficient overflows."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise OverflowError(
+            f"identity {identity} at n={n}: polynomial coefficient exceeds "
+            f"the 64-bit range [-2^63, 2^63 - 1]") from exc
+
+
+def _expansion_report(identity, n, sums, k):
+    """Compare [n k]_q with sum_d (q-1)^d sums[d] C(n-2d, k-d) for every k
+    (or a single one); sums[d] is the weight summed over down count d."""
+    terms = [(_QM1 ** d) * s for d, s in enumerate(sums)]
     ks = range(n + 1) if k is None else (k,)
     for k in ks:
         rhs = QPoly.zero()
-        for d, coeff in terms:
+        for d, term in enumerate(terms):
             mult = _binom_or_zero(n - 2 * d, k - d)
             if mult:
-                rhs = rhs + mult * coeff
+                rhs = rhs + mult * term
         lhs = qbinomial(n, k)
         if lhs != rhs:
-            return {"identity": "fs", "n": n, "ok": False,
+            return {"identity": identity, "n": n, "ok": False,
                     "counterexample": {"k": k, "lhs": lhs.to_list(),
                                        "rhs": rhs.to_list()}}
-    return {"identity": "fs", "n": n, "ok": True, "counterexample": None}
+    return {"identity": identity, "n": n, "ok": True, "counterexample": None}
+
+
+def verify_fs(n, max_size=None, k=None):
+    """Check, for every k (or a single one), that the q-binomial equals the
+    Motzkin-path expansion sum_P (q-1)^|P| w(P,q) C(n-2|P|, k-|P|),
+    exactly.  The summand depends on P only through |P|, so the path
+    weights enter summed by down count (weight_sums_by_downs)."""
+    check_path_ceiling(n, max_size)
+    with _within_64_bits("fs", n):
+        return _expansion_report("fs", n, weight_sums_by_downs(n), k)
 
 
 def verify_ds(n, max_size=None, k=None):
@@ -94,38 +109,26 @@ def verify_ds(n, max_size=None, k=None):
     for every k (or a single one), and additionally that regrouping the sum
     along the fibers of the involution-to-path map reproduces each path
     weight exactly."""
-    limit = DEFAULT_MAX_SIZE if max_size is None else max_size
-    total = involution_count(n)
-    if total > limit:
-        raise TooLargeError(
-            f"{total} involutions on [{n}], above the ceiling {limit}")
-    fiber_sums = {}
-    for d in enumerate_involutions(n, limit):
-        _, _, w = d.weight_stats()
-        steps = biane(d).steps
-        prev = fiber_sums.get(steps, QPoly.zero())
-        fiber_sums[steps] = prev + QPoly.monomial(w)
-    for p in enumerate_paths(n):
-        got = fiber_sums.get(p.steps, QPoly.zero())
-        if got != p.weight():
-            return {"identity": "ds", "n": n, "ok": False,
-                    "counterexample": {"path": p.steps,
-                                       "fiber_weight_sum": got.to_list(),
-                                       "path_weight": p.weight().to_list()}}
-    ks = range(n + 1) if k is None else (k,)
-    for k in ks:
-        rhs = QPoly.zero()
-        for p in enumerate_paths(n):
-            d = p.down_count
-            mult = _binom_or_zero(n - 2 * d, k - d)
-            if mult:
-                rhs = rhs + mult * (_QM1 ** d) * fiber_sums[p.steps]
-        lhs = qbinomial(n, k)
-        if lhs != rhs:
-            return {"identity": "ds", "n": n, "ok": False,
-                    "counterexample": {"k": k, "lhs": lhs.to_list(),
-                                       "rhs": rhs.to_list()}}
-    return {"identity": "ds", "n": n, "ok": True, "counterexample": None}
+    with _within_64_bits("ds", n):
+        fiber_sums = {}
+        for d in enumerate_involutions(n, max_size):
+            _, _, w = d.weight_stats()
+            steps = biane(d).steps
+            prev = fiber_sums.get(steps, QPoly.zero())
+            fiber_sums[steps] = prev + QPoly.monomial(w)
+        for p in enumerate_paths(n, max_size):
+            got = fiber_sums.get(p.steps, QPoly.zero())
+            want = p.weight()
+            if got != want:
+                return {"identity": "ds", "n": n, "ok": False,
+                        "counterexample": {"path": p.steps,
+                                           "fiber_weight_sum": got.to_list(),
+                                           "path_weight": want.to_list()}}
+        by_downs = [QPoly.zero()] * (n // 2 + 1)
+        for steps, s in fiber_sums.items():
+            d = steps.count("D")
+            by_downs[d] = by_downs[d] + s
+        return _expansion_report("ds", n, by_downs, k)
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,7 @@ def fiber_census(field, n, max_size=None):
         rank_counts[x.dim] += 1
     q = field.q
     rows = []
-    for p in enumerate_paths(n):
+    for p in enumerate_paths(n, max_size):
         primary, fiber = counts.get(p.steps, (0, 0))
         d = p.down_count
         predicted = (_QM1 ** d) * p.weight()

@@ -4,11 +4,25 @@ A path is a word over {U, D, H} whose running height never dips below the
 axis and ends at 0.  The weight multiplies q^j for a horizontal step at
 height j and q^j + ... + q^(2j) for a down step landing at height j; up
 steps weigh 1.  At q = 1 a down step therefore weighs its starting height.
+The weights summed over all paths with a given number of down steps come
+from a transfer over (height, downs) that lists no path.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .algebra import QPoly
+from .errors import TooLargeError
+from .matspace import DEFAULT_MAX_SIZE
+
+
+@lru_cache(maxsize=None)
+def step_weight(step, h):
+    """Weight of an H or D step ending at height h: q^h for H and
+    q^h + ... + q^(2h) for D.  Up steps weigh 1 and are never multiplied
+    in."""
+    return QPoly.monomial(h) if step == "H" else QPoly.geometric(h, 2 * h)
 
 
 class MotzkinPath:
@@ -58,15 +72,9 @@ class MotzkinPath:
     def weight(self):
         """The q-weight: product of the step weights."""
         w = QPoly.one()
-        h = 0
-        for ch in self.steps:
-            if ch == "U":
-                h += 1
-            elif ch == "H":
-                w = w * QPoly.monomial(h)
-            else:
-                h -= 1
-                w = w * QPoly.geometric(h, 2 * h)
+        for ch, h in zip(self.steps, self.heights[1:]):
+            if ch != "U":
+                w = w * step_weight(ch, h)
         return w
 
 
@@ -83,8 +91,19 @@ def down_count(p):
     return p.down_count
 
 
-def enumerate_paths(n):
+def check_path_ceiling(n, max_size=None):
+    """Raise TooLargeError when the paths of length n outnumber the ceiling
+    (default DEFAULT_MAX_SIZE)."""
+    limit = DEFAULT_MAX_SIZE if max_size is None else max_size
+    total = motzkin_number(n)
+    if total > limit:
+        raise TooLargeError(
+            f"{total} paths of length {n}, above the ceiling {limit}")
+
+
+def enumerate_paths(n, max_size=None):
     """Yield every path of length n once, lexicographic with D < H < U."""
+    check_path_ceiling(n, max_size)
     buf = []
 
     def rec(i, h):
@@ -106,6 +125,31 @@ def enumerate_paths(n):
         buf.pop()
 
     yield from rec(0, 0)
+
+
+def weight_sums_by_downs(n):
+    """[sum of w(P, q) over the paths P of length n with d down steps, for
+    d = 0..n//2], without enumerating a path.
+
+    One left-to-right transfer over the states (height, downs) carries the
+    summed weight of all prefixes that reach each state; a height above the
+    number of steps left can no longer return to the axis and is dropped.
+    """
+    sums = {(0, 0): QPoly.one()}
+    for left in range(n - 1, -1, -1):  # steps left after this one
+        nxt = {}
+        for (h, d), w in sums.items():
+            for step, h2, d2 in (("D", h - 1, d + 1), ("H", h, d),
+                                 ("U", h + 1, d)):
+                if 0 <= h2 <= left:
+                    term = w if step == "U" else w * step_weight(step, h2)
+                    prev = nxt.get((h2, d2))
+                    nxt[h2, d2] = term if prev is None else prev + term
+        sums = nxt
+    out = [QPoly.zero()] * (n // 2 + 1)
+    for (_, d), w in sums.items():  # only height 0 is left
+        out[d] = w
+    return out
 
 
 def motzkin_number(n):

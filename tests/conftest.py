@@ -1,6 +1,7 @@
-"""Shared builders for the two worked rref families used across tests."""
+"""Shared builders for the two worked rref families used across tests, and
+the path-by-path reference for the weight sums by down count."""
 
-from qlattice import Rref
+from qlattice import QPoly, Rref, enumerate_paths
 
 
 def six_col_family(field, a, b, c, d, e):
@@ -18,3 +19,12 @@ def eight_col_family(field, a, b, c, d, e, f):
             (0, 1, b, c, 0, d, e, e),
             (0, 0, 0, 0, 1, 0, f, f))
     return Rref(field, 8, rows, (1, 2, 5))
+
+
+def weight_sums_by_enumeration(n):
+    """Sum of p.weight() over every path of length n, grouped by down
+    count: the reference for motzkin.weight_sums_by_downs."""
+    sums = [QPoly.zero()] * (n // 2 + 1)
+    for p in enumerate_paths(n):
+        sums[p.down_count] = sums[p.down_count] + p.weight()
+    return sums

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import qlattice.cli
+import qlattice.identities
 from qlattice.cli import main
 
 
@@ -110,6 +111,31 @@ def test_identity_commands(capsys):
     assert code == 0 and json.loads(out)["ok"] is True
     code, out, _ = run(capsys, "identity", "fs", "--n", "6", "--k", "3")
     assert code == 0 and "k=3" in out
+
+
+def test_identity_mismatch_exits_1(capsys, monkeypatch):
+    real = qlattice.identities.qbinomial
+    monkeypatch.setattr(qlattice.identities, "qbinomial",
+                        lambda n, k: real(n, k) + (1 if k == 3 else 0))
+    lhs, rhs = (real(6, 3) + 1).to_list(), real(6, 3).to_list()
+    for which in ("fs", "ds"):
+        code, out, err = run(capsys, "identity", which, "--n", "6")
+        assert code == 1 and err == ""
+        assert out == (f"{which} n=6: MISMATCH\n"
+                       f"counterexample: {{'k': 3, 'lhs': {lhs}, "
+                       f"'rhs': {rhs}}}\n")
+        code, out, _ = run(capsys, "identity", which, "--n", "6", "--json")
+        assert code == 1
+        assert json.loads(out)["counterexample"] == {"k": 3, "lhs": lhs,
+                                                     "rhs": rhs}
+
+
+def test_identity_overflow_names_the_bound(capsys):
+    code, out, err = run(capsys, "identity", "fs", "--n", "35",
+                         "--max-size", str(10**30))
+    assert code == 2 and out == ""
+    assert err == ("error: identity fs at n=35: polynomial coefficient "
+                   "exceeds the 64-bit range [-2^63, 2^63 - 1]\n")
 
 
 def test_census_csv_frozen(capsys):

@@ -1,6 +1,8 @@
 """Frozen CLI output of sbd, scd and census on small prime and extension
 fields, text and --json: byte count and sha256 of stdout.  Any change to a
-decomposition member, its order or its formatting shows up here."""
+decomposition member, its order or its formatting shows up here.  The
+identity verifiers and the path ceiling are frozen as exact exit code,
+stdout and stderr."""
 
 import hashlib
 
@@ -80,3 +82,27 @@ def test_golden_output(capsys, cmd, q, n, as_json):
     out = capsys.readouterr().out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == \
         GOLDEN[cmd, q, n, as_json]
+
+
+CEILING_16 = "error: 853467 paths of length 16, above the ceiling 500000\n"
+REPORT = '{{"identity": "{}", "n": {}, "ok": true, "counterexample": null}}\n'
+
+EXACT = {
+    ("identity", "fs", "--n", "13"): (0, "fs n=13: ok\n", ""),
+    ("identity", "fs", "--n", "13", "--json"): (0, REPORT.format("fs", 13),
+                                                ""),
+    ("identity", "ds", "--n", "11"): (0, "ds n=11: ok\n", ""),
+    ("identity", "ds", "--n", "11", "--json"): (0, REPORT.format("ds", 11),
+                                                ""),
+    ("identity", "fs", "--n", "6", "--k", "3"): (0, "fs n=6 k=3: ok\n", ""),
+    ("identity", "fs", "--n", "16"): (2, "", CEILING_16),
+    ("paths", "--n", "16"): (2, "", CEILING_16),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXACT), ids=" ".join)
+def test_exact_output(capsys, monkeypatch, argv):
+    monkeypatch.delenv("QLATTICE_MAX_SIZE", raising=False)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == EXACT[argv]

@@ -1,5 +1,8 @@
+from math import comb
+
 import pytest
 
+import qlattice.identities
 from qlattice import (QPoly, TooLargeError, enumerate_paths, fiber_census,
                       galois, gf, goldman_rota_check, path_weight, poly_eval,
                       qbinomial, verify_ds, verify_fs)
@@ -20,6 +23,34 @@ def galois_value_oracle(q, n):
     for m in range(1, n):
         g.append(2 * g[-1] + (q**m - 1) * g[-2])
     return g[n]
+
+
+def fs_by_paths(n, k=None):
+    """Reference for verify_fs: the expansion summed path by path, one
+    term (q-1)^|P| w(P,q) C(n-2|P|, k-|P|) per path and k."""
+    terms = [(p.down_count, QPoly((-1, 1)) ** p.down_count * p.weight())
+             for p in enumerate_paths(n)]
+    for k in range(n + 1) if k is None else (k,):
+        rhs = QPoly.zero()
+        for d, coeff in terms:
+            if 0 <= k - d <= n - 2 * d:
+                rhs = rhs + comb(n - 2 * d, k - d) * coeff
+        if rhs != qbinomial(n, k):
+            return {"identity": "fs", "n": n, "ok": False,
+                    "counterexample": {"k": k,
+                                       "lhs": qbinomial(n, k).to_list(),
+                                       "rhs": rhs.to_list()}}
+    return {"identity": "fs", "n": n, "ok": True, "counterexample": None}
+
+
+def off_by_one_at(k_bad):
+    """A qbinomial stand-in that is one too large at rank k_bad."""
+    real = qbinomial
+
+    def wrong(n, k):
+        return real(n, k) + (1 if k == k_bad else 0)
+
+    return wrong
 
 
 def test_qbinomial_frozen():
@@ -63,6 +94,35 @@ def test_verify_fs_small_and_structure():
     assert verify_ds(5, k=2)["ok"]
     with pytest.raises(TooLargeError):
         verify_fs(12, max_size=100)
+
+
+def test_verify_fs_matches_the_path_by_path_sum():
+    for n in range(10):
+        assert verify_fs(n) == fs_by_paths(n)
+    for n in range(7):
+        for k in range(-1, n + 2):
+            assert verify_fs(n, k=k) == fs_by_paths(n, k)
+
+
+@pytest.mark.parametrize("verify", [verify_fs, verify_ds])
+def test_mismatch_is_reported_as_data(monkeypatch, verify):
+    monkeypatch.setattr(qlattice.identities, "qbinomial", off_by_one_at(2))
+    report = verify(5)
+    assert report == {
+        "identity": verify.__name__[-2:], "n": 5, "ok": False,
+        "counterexample": {"k": 2, "lhs": (qbinomial(5, 2) + 1).to_list(),
+                           "rhs": qbinomial(5, 2).to_list()}}
+    assert verify(5, k=1)["ok"]
+    assert not verify(5, k=2)["ok"]
+
+
+def test_verify_fs_names_the_64_bit_bound():
+    assert verify_fs(34, max_size=10**30)["ok"]
+    with pytest.raises(OverflowError) as exc:
+        verify_fs(35, max_size=10**30)
+    assert str(exc.value) == (
+        "identity fs at n=35: polynomial coefficient exceeds the 64-bit "
+        "range [-2^63, 2^63 - 1]")
 
 
 def test_verify_fs_printed_n5_coefficients():

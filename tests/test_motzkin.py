@@ -1,8 +1,13 @@
+from math import factorial
+
 import pytest
 
-from qlattice import (MotzkinPath, QPoly, down_count, down_height_product,
-                      enumerate_paths, motzkin_number, parse_path, path_weight,
-                      poly_eval)
+from conftest import weight_sums_by_enumeration
+from qlattice import (MotzkinPath, QPoly, TooLargeError, down_count,
+                      down_height_product, enumerate_paths, motzkin_number,
+                      parse_path, path_weight, poly_eval,
+                      weight_sums_by_downs)
+from qlattice.motzkin import step_weight
 
 
 def motzkin_oracle(n):
@@ -52,6 +57,40 @@ def test_enumeration_counts():
     for n in range(7):
         assert sum(1 for _ in enumerate_paths(n)) == expected[n]
     assert [p.steps for p in enumerate_paths(0)] == [""]
+
+
+def test_enumeration_ceiling_raises_before_the_first_path():
+    paths = enumerate_paths(12, max_size=100)
+    with pytest.raises(TooLargeError) as exc:
+        next(paths)
+    assert str(exc.value) == "15511 paths of length 12, above the ceiling 100"
+    assert sum(1 for _ in enumerate_paths(12, max_size=15511)) == 15511
+
+
+def test_step_weights():
+    assert step_weight("H", 0) == QPoly.one()
+    assert step_weight("H", 3) == QPoly((0, 0, 0, 1))
+    assert step_weight("D", 0) == QPoly.one()
+    assert step_weight("D", 2) == QPoly((0, 0, 1, 1, 1))
+
+
+def test_weight_sums_by_downs_match_the_enumeration():
+    for n in range(13):
+        assert weight_sums_by_downs(n) == weight_sums_by_enumeration(n), n
+    assert weight_sums_by_downs(0) == [QPoly.one()]
+    assert weight_sums_by_downs(5) == [QPoly.one(), QPoly((4, 3, 2, 1)),
+                                       QPoly((3, 4, 4, 3, 1))]
+
+
+def test_weight_sums_at_one_count_involutions_by_cycles():
+    # w(P, 1) is the size of the involution fiber over P, so the sums at
+    # q = 1 count the involutions on [n] with d two-cycles:
+    # n! / (d! 2^d (n-2d)!).
+    for n in range(20):
+        got = [poly_eval(s, 1) for s in weight_sums_by_downs(n)]
+        assert got == [factorial(n) // (factorial(d) * 2**d
+                                        * factorial(n - 2 * d))
+                       for d in range(n // 2 + 1)]
 
 
 def test_weight_frozen_examples():
