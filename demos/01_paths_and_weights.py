@@ -7,7 +7,7 @@ each down step landing at height j weighs q^j + ... + q^(2j); up steps are
 free.  Setting q = 1 turns the down-step weight into the starting height.
 """
 
-from qlattice import enumerate_paths, motzkin_number, parse_path, poly_eval
+from qlattice import MotzkinPath, enumerate_paths, motzkin_number
 
 print("All paths of length 4, with weights and down-step counts:")
 for p in enumerate_paths(4):
@@ -15,9 +15,9 @@ for p in enumerate_paths(4):
 
 print("\nPath counts for n = 0..10:", [motzkin_number(n) for n in range(11)])
 
-p = parse_path("UHDHUUHDD")
+p = MotzkinPath("UHDHUUHDD")
 print(f"\nThe nine-step path {p}:")
 print("  prefix heights:", p.heights)
 print("  weight:        ", p.weight())
-print("  weight at q=1: ", poly_eval(p.weight(), 1),
+print("  weight at q=1: ", p.weight()(1),
       "(= product of down-step heights 1*2*1)")

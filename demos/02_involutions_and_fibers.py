@@ -8,10 +8,10 @@ grouping q^weight over each fiber reproduces the path's q-weight exactly.
 """
 
 from qlattice import (Involution, QPoly, biane, biane_fiber, enumerate_paths,
-                      involution_weight, parse_involution, path_weight)
+                      parse_involution)
 
 delta = parse_involution("[1,8][2,6][3,9][4,7]")
-spans, crossings, w = involution_weight(delta)
+spans, crossings, w = delta.weight_stats()
 print(f"{delta}: total span {spans}, crossings {crossings}, weight {w}")
 print("its path:", biane(delta))
 
@@ -20,10 +20,10 @@ for p in enumerate_paths(5):
     fiber = biane_fiber(p)
     qsum = QPoly.zero()
     for d in fiber:
-        qsum = qsum + QPoly.monomial(involution_weight(d)[2])
-    tag = "ok" if qsum == path_weight(p) else "MISMATCH"
+        qsum = qsum + QPoly.monomial(d.weight_stats()[2])
+    tag = "ok" if qsum == p.weight() else "MISMATCH"
     print(f"  {p!s:6s} |fiber| = {len(fiber):2d}   "
-          f"sum q^w = {qsum!s:18s} path weight = {path_weight(p)!s:18s} {tag}")
+          f"sum q^w = {qsum!s:18s} path weight = {p.weight()!s:18s} {tag}")
 
 print("\nThe two involutions over UHUHDD:",
       ", ".join(str(d) for d in biane_fiber(biane(Involution(6, ((1, 6), (3, 5)))))))

@@ -8,7 +8,7 @@ ranks are symmetric about n/2.  These blocks partition the lattice, and per
 path P the number of blocks is (q-1)^|P| w(P,q).
 """
 
-from qlattice import QPoly, fiber_census, gf, poly_eval, sbd, subspace_count
+from qlattice import QPoly, fiber_census, gf, sbd, subspace_count
 
 f2 = gf(2)
 n = 4
@@ -30,5 +30,5 @@ for blk in sbd(f2, n):
 total = sum(2 ** (n - 2 * blk.path.down_count) for blk in sbd(f2, n))
 print(f"\nBlock sizes sum to {total} = number of subspaces; "
       f"predicted primaries check against (q-1)^d * weight at q = 2, e.g. "
-      f"{poly_eval(QPoly((-1, 1)) * QPoly((0, 1)), 2)} for the path UHD "
+      f"{(QPoly((-1, 1)) * QPoly((0, 1)))(2)} for the path UHD "
       f"of F_2^3.")

@@ -7,8 +7,8 @@ in place of the grouped path weight.  The Galois numbers (total subspace
 counts) obey G(m+1) = 2 G(m) + (q^m - 1) G(m-1).
 """
 
-from qlattice import galois, goldman_rota_check, poly_eval, qbinomial, \
-    verify_ds, verify_fs
+from qlattice import galois, goldman_rota_check, qbinomial, verify_ds, \
+    verify_fs
 
 print("q-binomials of n = 5:")
 for k in range(6):
@@ -17,7 +17,7 @@ for k in range(6):
 print("\nGalois numbers as polynomials:")
 for n in range(5):
     print(f"  G({n}) = {galois(n)}")
-print("values at q = 2:", [poly_eval(galois(n), 2) for n in range(9)])
+print("values at q = 2:", [galois(n)(2) for n in range(9)])
 print("recurrence holds symbolically up to n = 10:", goldman_rota_check(10))
 
 print("\nExpansion identities, exact polynomial equality per k:")

@@ -24,9 +24,9 @@ from .identities import (fiber_census, galois, goldman_rota_check, verify_ds,
 from .involution import Involution, biane
 from .matspace import (Rref, enumerate_subspaces, left_pivots, right_pivots,
                        rank_of, subspace_count, subspace_leq)
-from .motzkin import enumerate_paths, parse_path
-from .psi import (is_primary, path_from_classification, psi, section_ranks,
-                  set_and_subset)
+from .motzkin import MotzkinPath, enumerate_paths
+from .psi import (is_primary, path_from_classification, psi, section,
+                  section_ranks, set_and_subset)
 
 
 @dataclass
@@ -107,19 +107,13 @@ def _c06_primary_counts():
     for q in (2, 3):
         field = gf(q)
         for n in range(7):
-            primaries = {}
-            for x in enumerate_subspaces(field, n):
-                if not set_and_subset(x)[1]:
-                    steps = psi(x).steps
-                    primaries[steps] = primaries.get(steps, 0) + 1
-            for p in enumerate_paths(n):
-                d = p.down_count
-                predicted = ((QPoly((-1, 1)) ** d) * p.weight())(q)
-                got = primaries.get(p.steps, 0)
+            # fiber_census raises on a count that misses its prediction
+            for row in fiber_census(field, n):
+                got, predicted = row.primary_count, row.predicted(q)
                 if got != predicted:
-                    return False, (f"q={q} n={n} path {p}: {got} primaries, "
-                                   f"predicted {predicted}")
-                if q == 2 and n == 6 and p.steps == "UHUDHD":
+                    return False, (f"q={q} n={n} path {row.path}: {got} "
+                                   f"primaries, predicted {predicted}")
+                if q == 2 and n == 6 and row.path.steps == "UHUDHD":
                     spot = got
     if spot != 24:
         return False, f"spot check UHUDHD at q=2 n=6 gave {spot}"
@@ -161,11 +155,6 @@ def _c07_boolean_decomposition():
                     return False, f"block count per path off at q={q} n={n}"
             fiber_census(field, n)  # raises on any per-rank violation
     return True, "partition, order isomorphism, rank windows, per-rank counts"
-
-
-def _section_head(x, j):
-    m = len([p for p in x.pivots if p <= j])
-    return [row[j:] for row in x.rows[:m]]
 
 
 def _independence_profile(field, rows, width):
@@ -220,13 +209,13 @@ def _c08_insert_delete_laws():
                             return False, f"multi-column roundtrip fails\n{x}"
                 # stability of section independence under moves further right
                 for j in sorted(ground - inl_piv):
-                    before = _independence_profile(field, _section_head(x, j),
+                    before = _independence_profile(field, section(x, j).rows,
                                                    n - j)
                     for i in sorted(c for c in ground if c > j):
                         y = (ins_col(x, i) if i not in inl_piv
                              else del_col(x, i))
                         after = _independence_profile(field,
-                                                      _section_head(y, j),
+                                                      section(y, j).rows,
                                                       n - j)
                         if before != after:
                             return False, (f"section stability fails at "
@@ -354,7 +343,7 @@ def _c11_worked_examples():
                 ground, inl = set_and_subset(x)
                 if ground != {2, 5} or inl != {5}:
                     return False, f"inessential sets of the 6-column family q={q}"
-    p = parse_path("UHDHUUHDD")
+    p = MotzkinPath("UHDHUUHDD")
     if p.weight() != QPoly((0, 0, 0, 0, 1, 1)) or p.down_count != 3:
         return False, "nine-step path weight"
     delta = Involution(9, ((1, 8), (2, 6), (3, 9), (4, 7)))

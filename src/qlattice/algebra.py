@@ -275,9 +275,10 @@ class QPoly:
         if not a or not b:
             return QPoly()
         out = [0] * (len(a) + len(b) - 1)
+        terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
+                for j, y in terms:
                     out[i + j] += x * y
         return QPoly(out)
 
@@ -341,11 +342,6 @@ class QPoly:
             else:
                 parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
-
-
-def poly_eval(p, q0):
-    """Exact integer value of p at q = q0."""
-    return p(q0)
 
 
 def qpoly_from_text(text):

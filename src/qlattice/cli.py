@@ -23,7 +23,7 @@ from .identities import fiber_census, verify_ds, verify_fs
 from .involution import biane, enumerate_involutions, parse_involution
 from .matspace import (format_matrix, left_pivots, parse_matrix, right_pivots,
                        rref_left)
-from .motzkin import enumerate_paths, parse_path
+from .motzkin import MotzkinPath, enumerate_paths
 from .psi import classify_columns, psi, set_and_subset
 
 
@@ -58,7 +58,7 @@ def _cmd_paths(args):
 
 
 def _cmd_weight(args):
-    p = parse_path(args.path)
+    p = MotzkinPath(args.path)
     w = p.weight()
     _emit(args, {"path": p.steps, "downs": p.down_count,
                  "weight": w.to_list(), "pretty": str(w)}, str(w))

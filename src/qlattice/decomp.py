@@ -8,6 +8,9 @@ path-preserving); their multi-column iterates; the Boolean block spanned by
 a primary rref; and the chain decomposition obtained by transporting the
 bracket-matching chains of a finite Boolean algebra through the insertions.
 
+Insertion and deletion take their guard, the lexically first basis of the
+section and every coordinate they need from the one forward elimination
+that classifies the column (:func:`qlattice.psi.column_elimination`).
 Insertion needs only the row c (I + b^T c)^-1, which by Sherman-Morrison is
 the scalar multiple c / (1 + b . c^T); :func:`gamma` and :func:`gamma_inv`
 remain as the reference matrices it is tested against.  A block member
@@ -28,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .matspace import (Mat, Rref, enumerate_subspaces, express_in_rows,
-                       lexically_first_basis, pivot_count_upto)
+from .matspace import Mat, Rref, enumerate_subspaces
 from .motzkin import MotzkinPath
-from .psi import classify_column, pivot_data, set_and_subset
+from .psi import column_elimination, pivot_data, set_and_subset
 
 
 def mu(field, d, x):
@@ -129,43 +131,26 @@ def _vec_times_rows(field, vec, rows, width):
 def del_col(x, j):
     """Remove the pivotal inessential column j from the rref: the result
     spans a codimension-1 subspace of x with the pivot at j gone and the
-    same Motzkin path."""
-    cls = classify_column(x, j)
+    same Motzkin path.  Each row u above the pivot row gains alpha_u .
+    phi^-1(c) times it, where c and alpha_u are the coordinates of the pivot
+    row's tail and of row u in the section's lexically first basis."""
+    cls, m, e = column_elimination(x, j)
     if not (cls.pivotal and not cls.essential):
         raise ValueError(
             f"column {j} is not pivotal and inessential; cannot delete")
     f = x.field
-    n = x.n
-    m = pivot_count_upto(x, j)  # j = m-th pivot
-    width = n - j
-    head = [row[j:] for row in x.rows[:m - 1]]
-    a = x.rows[m - 1][j:]
-    basis_idx = lexically_first_basis(f, head, width)
-    basis = [head[i - 1] for i in basis_idx]
-    c = express_in_rows(f, basis, a, width)
-    b = phi_inv(f, c)
-    bmap = dict(zip(basis_idx, b))
+    b = phi_inv(f, e.coefficients(m - 1))
     add, mul = f.add, f.mul
-    d = []
-    for u in range(1, m):
-        if u in bmap:
-            d.append(bmap[u])
-        else:
-            alpha = express_in_rows(f, basis, head[u - 1], width)
-            acc = 0
-            for coef, bv in zip(alpha, b):
-                acc = add(acc, mul(coef, bv))
-            d.append(acc)
     rows = [list(r) for r in x.rows]
-    prow = rows[m - 1]
-    for l in range(m - 1):
-        dl = d[l]
+    prow = rows.pop(m - 1)
+    for u, rl in enumerate(rows[:m - 1]):
+        dl = 0
+        for coef, bv in zip(e.coefficients(u), b):
+            dl = add(dl, mul(coef, bv))
         if dl:
-            rl = rows[l]
-            for t in range(j - 1, n):
+            for t in range(j - 1, x.n):
                 rl[t] = add(rl[t], mul(dl, prow[t]))
-    del rows[m - 1]
-    return Rref(f, n, tuple(tuple(r) for r in rows),
+    return Rref(f, x.n, tuple(tuple(r) for r in rows),
                 x.pivots[:m - 1] + x.pivots[m:])
 
 
@@ -174,33 +159,28 @@ def ins_col(x, j):
     contains x with dimension one higher and the same Motzkin path.  Inverse
     of :func:`del_col` at j.
 
-    The new pivot row carries u . basis, where u = c (I + b^T c)^-1 for the
-    column data b above j and c = phi(b); u is the scalar multiple
-    c / (1 + b . c^T), which phi keeps defined."""
-    cls = classify_column(x, j)
-    if not (not cls.pivotal and not cls.essential):
+    The new pivot row carries u . basis for the section's lexically first
+    basis, where u = c (I + b^T c)^-1 for the column-j entries b of the
+    basis rows and c = phi(b); u is the scalar multiple c / (1 + b . c^T),
+    which phi keeps defined."""
+    cls, m, e = column_elimination(x, j)
+    if cls.pivotal or cls.essential:
         raise ValueError(
             f"column {j} is not nonpivotal and inessential; cannot insert")
     f = x.field
     n = x.n
-    m = pivot_count_upto(x, j)  # pivots before j
-    width = n - j
-    sect = [row[j:] for row in x.rows[:m]]
-    dcol = [x.rows[i][j - 1] for i in range(m)]
-    basis_idx = lexically_first_basis(f, sect, width)
-    basis = [sect[i - 1] for i in basis_idx]
-    b = tuple(dcol[i - 1] for i in basis_idx)
+    basis = [x.rows[i][j:] for i in e.kept]
+    b = tuple(x.rows[i][j - 1] for i in e.kept)
     u = _inverse_update_row(f, b, phi(f, b))
-    a = _vec_times_rows(f, u, basis, width)
+    a = _vec_times_rows(f, u, basis, n - j)
     newrow = [0] * n
     newrow[j - 1] = 1
     newrow[j:] = a
     sub, mul = f.sub, f.mul
     rows = [list(r) for r in x.rows]
-    for l in range(m):
-        dl = dcol[l]
+    for rl in rows[:m]:
+        dl = rl[j - 1]
         if dl:
-            rl = rows[l]
             rl[j - 1] = 0
             for t in range(j, n):
                 rl[t] = sub(rl[t], mul(dl, a[t - j]))

@@ -116,11 +116,6 @@ def enumerate_involutions(n, max_size=None):
         yield Involution(n, cycles)
 
 
-def involution_weight(d):
-    """(spans, crossings, weight) of an involution."""
-    return d.weight_stats()
-
-
 def biane(d):
     """The Motzkin path with U at initial points, D at terminal points and
     H at fixed points; it has as many down steps as d has 2-cycles."""

@@ -1,9 +1,12 @@
-"""Matrices over F_q, Gauss elimination, canonical subspaces, enumeration.
+"""Matrices over F_q, one elimination kernel, canonical subspaces, enumeration.
 
 A subspace of F_q^n is represented by the unique row reduced echelon form of
 any spanning matrix, so equality of subspaces is structural equality of
 :class:`Rref` values.  Column indices are 1-based throughout; the zero
 subspace is the 0 x n empty rref.
+
+Every row reduction is one forward pass, :func:`_eliminate`; the rref, the
+rank, membership, the lexically first basis and coordinates are read from it.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .algebra import GF, gf
 from .errors import TooLargeError
@@ -26,10 +30,6 @@ class Mat:
     field: GF
     n: int
     rows: tuple
-
-    @property
-    def k(self):
-        return len(self.rows)
 
     def __str__(self):
         if not self.rows:
@@ -52,60 +52,100 @@ class Rref:
     def dim(self):
         return len(self.rows)
 
-    @property
-    def k(self):
-        return len(self.rows)
-
     def __str__(self):
         if not self.rows:
             return f"(zero subspace of F_{self.field.q}^{self.n})"
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
 
 
-#: A subspace IS its canonical rref.
-Subspace = Rref
+class Elimination(NamedTuple):
+    """What one forward elimination found, all in input order: ``kept``,
+    the 0-based positions of the kept input rows; ``rows``, their reduced
+    forms, with leading entry 1 and zero at the pivots of earlier kept rows;
+    ``pivots``, the 1-based columns of the leading entries; ``steps``, per
+    input row, the pairs (k, c) of every nonzero multiple c of reduced row k
+    subtracted from it; ``scales``, per kept row, the inverse of its leading
+    entry."""
+
+    field: GF
+    kept: list
+    rows: list
+    pivots: list
+    steps: list
+    scales: list
+
+    def coefficients(self, i):
+        """Coefficients over the kept input rows that give input row i, a
+        unit vector for a kept row.  With row i = sum(d_k reduced_k) and
+        reduced_k = s_k (input_k - sum(e_kt reduced_t)), t < k, taking k
+        from last to first, input_k gets d_k s_k and d_t -= d_k s_k e_kt."""
+        d = [0] * len(self.kept)
+        if i in self.kept:
+            d[self.kept.index(i)] = 1
+            return tuple(d)
+        for k, c in self.steps[i]:
+            d[k] = c
+        mul, sub = self.field.mul, self.field.sub
+        for k in reversed(range(len(d))):
+            a = d[k] = mul(d[k], self.scales[k])
+            if a:
+                for t, e in self.steps[self.kept[k]]:
+                    d[t] = sub(d[t], mul(a, e))
+        return tuple(d)
 
 
 def _eliminate(field, rows, n):
-    """Full Gauss elimination; returns (reduced nonzero rows, 1-based pivots)."""
+    """Forward elimination of the rows, top to bottom: each row is reduced
+    against the rows kept so far and kept when something is left.  The one
+    row-reduction loop of the library; does not modify its input."""
     mul, sub, inv = field.mul, field.sub, field.inv
-    work = [list(r) for r in rows]
-    k = len(work)
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, k):
-            if work[i][col]:
-                piv = i
+    kept, reduced, pivots, steps, scales = [], [], [], [], []
+    for idx, row in enumerate(rows):
+        r = list(row)
+        step = []
+        for k, pc in enumerate(pivots):
+            c = r[pc]
+            if c:
+                step.append((k, c))
+                pr = reduced[k]
+                for t in range(pc, n):
+                    r[t] = sub(r[t], mul(c, pr[t]))
+        steps.append(step)
+        for pc in range(n):
+            if r[pc]:
                 break
-        if piv is None:
+        else:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        a = prow[col]
-        if a != 1:
-            ai = inv(a)
-            for t in range(col, n):
-                prow[t] = mul(ai, prow[t])
-        for i in range(k):
-            if i != rank and work[i][col]:
-                fctr = work[i][col]
-                wrow = work[i]
-                for t in range(col, n):
-                    wrow[t] = sub(wrow[t], mul(fctr, prow[t]))
-        pivots.append(col + 1)
-        rank += 1
-        if rank == k:
-            break
-    return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+        ai = 1 if r[pc] == 1 else inv(r[pc])
+        if ai != 1:
+            for t in range(pc, n):
+                r[t] = mul(ai, r[t])
+        kept.append(idx)
+        reduced.append(r)
+        pivots.append(pc)
+        scales.append(ai)
+    return Elimination(field, kept, reduced, [p + 1 for p in pivots], steps,
+                       scales)
 
 
 def rref_left(m):
-    """Left-to-right Gauss elimination: the unique rref with the same row
-    space.  Zero rows are discarded; idempotent on rrefs."""
-    rows, pivots = _eliminate(m.field, m.rows, m.n)
-    return Rref(m.field, m.n, rows, pivots)
+    """The unique rref with the same row space: the kept rows of the
+    forward elimination sorted by pivot, then back-substituted from the last
+    pivot up.  Zero rows are discarded; idempotent on rrefs."""
+    e = _eliminate(m.field, m.rows, m.n)
+    order = sorted(range(len(e.rows)), key=e.pivots.__getitem__)
+    rows = [e.rows[i] for i in order]
+    pivots = tuple(e.pivots[i] for i in order)
+    sub, mul = m.field.sub, m.field.mul
+    for i in reversed(range(len(rows))):
+        # rows below i are zero at column p; row i is zero at later pivots
+        p, prow = pivots[i] - 1, rows[i]
+        for r in rows[:i]:
+            c = r[p]
+            if c:
+                for t in range(p, m.n):
+                    r[t] = sub(r[t], mul(c, prow[t]))
+    return Rref(m.field, m.n, tuple(tuple(r) for r in rows), pivots)
 
 
 def span(field, vectors, n):
@@ -123,32 +163,8 @@ def full_space(field, n):
 
 
 def rank_of(field, rows, n):
-    """Rank by forward elimination; does not modify its input."""
-    mul, sub, inv = field.mul, field.sub, field.inv
-    work = [list(r) for r in rows if any(r)]
-    k = len(work)
-    rank = 0
-    for col in range(n):
-        if rank == k:
-            break
-        piv = None
-        for i in range(rank, k):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        ai = inv(prow[col])
-        for i in range(rank + 1, k):
-            if work[i][col]:
-                fctr = mul(work[i][col], ai)
-                wrow = work[i]
-                for t in range(col, n):
-                    wrow[t] = sub(wrow[t], mul(fctr, prow[t]))
-        rank += 1
-    return rank
+    """Rank of the rows; does not modify its input."""
+    return len(_eliminate(field, rows, n).kept)
 
 
 def left_pivots(x):
@@ -161,27 +177,20 @@ def right_pivots(x):
     """Columns where some vector of the subspace has its last nonzero
     coordinate; computed by mirror-image (right-to-left) elimination."""
     rev = [row[::-1] for row in x.rows]
-    _, piv = _eliminate(x.field, rev, x.n)
-    return frozenset(x.n + 1 - p for p in piv)
+    return frozenset(x.n + 1 - p
+                     for p in _eliminate(x.field, rev, x.n).pivots)
 
 
 def in_rowspace(x, vec):
     """Whether the vector lies in the row space of the rref x."""
-    sub, mul = x.field.sub, x.field.mul
-    v = list(vec)
-    for row, p in zip(x.rows, x.pivots):
-        c = v[p - 1]
-        if c:
-            for t in range(p - 1, x.n):
-                v[t] = sub(v[t], mul(c, row[t]))
-    return not any(v)
+    return len(_eliminate(x.field, x.rows + (tuple(vec),), x.n).kept) == x.dim
 
 
 def subspace_leq(a, b):
     """Containment a <= b in the subspace lattice."""
     if a.field != b.field or a.n != b.n:
         raise ValueError("subspaces live in different ambient spaces")
-    return all(in_rowspace(b, row) for row in a.rows)
+    return len(_eliminate(b.field, b.rows + a.rows, b.n).kept) == b.dim
 
 
 def subspace_count(q, n):
@@ -274,26 +283,7 @@ def format_matrix(m):
 def lexically_first_basis(field, rows, n):
     """1-based indices of the greedy top-to-bottom independent rows: keep a
     row iff it is independent of the rows kept so far."""
-    sub, mul, inv = field.sub, field.mul, field.inv
-    kept = []
-    reduced = []  # (0-based pivot col, normalized row)
-    for idx, row in enumerate(rows, start=1):
-        r = list(row)
-        for pc, pr in reduced:
-            c = r[pc]
-            if c:
-                for t in range(pc, n):
-                    r[t] = sub(r[t], mul(c, pr[t]))
-        pc = next((t for t in range(n) if r[t]), None)
-        if pc is None:
-            continue
-        ai = inv(r[pc])
-        if ai != 1:
-            for t in range(pc, n):
-                r[t] = mul(ai, r[t])
-        reduced.append((pc, r))
-        kept.append(idx)
-    return kept
+    return [i + 1 for i in _eliminate(field, rows, n).kept]
 
 
 def express_in_rows(field, basis_rows, target, n):
@@ -303,21 +293,8 @@ def express_in_rows(field, basis_rows, target, n):
     unique.
     """
     s = len(basis_rows)
-    if s == 0:
-        return () if not any(target) else None
-    aug = [tuple(basis_rows[l]) + tuple(1 if t == l else 0 for t in range(s))
-           for l in range(s)]
-    rrows, rpiv = _eliminate(field, aug, n + s)
-    sub, mul, neg = field.sub, field.mul, field.neg
-    work = list(target) + [0] * s
-    for prow, p in zip(rrows, rpiv):
-        c = work[p - 1]
-        if c:
-            for t in range(p - 1, n + s):
-                work[t] = sub(work[t], mul(c, prow[t]))
-    if any(work[:n]):
-        return None
-    return tuple(neg(v) for v in work[n:])
+    e = _eliminate(field, tuple(basis_rows) + (tuple(target),), n)
+    return None if s in e.kept else e.coefficients(s)
 
 
 def pivot_count_upto(x, j):

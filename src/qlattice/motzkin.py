@@ -78,19 +78,6 @@ class MotzkinPath:
         return w
 
 
-def parse_path(s):
-    """Validate a step word; the empty word is the unique path of length 0."""
-    return MotzkinPath(s)
-
-
-def path_weight(p):
-    return p.weight()
-
-
-def down_count(p):
-    return p.down_count
-
-
 def check_path_ceiling(n, max_size=None):
     """Raise TooLargeError when the paths of length n outnumber the ceiling
     (default DEFAULT_MAX_SIZE)."""

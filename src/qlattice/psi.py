@@ -7,7 +7,9 @@ classifies each column as pivotal/nonpivotal and essential/inessential via
 the sections of the matrix; both routes are implemented so they can be
 checked against each other.  The pivot-set route runs in one place,
 :func:`pivot_data`, which yields the path, the inessential columns and the
-inessential pivots from a single right-to-left elimination.
+inessential pivots from a single right-to-left elimination.  A column is
+classified by one forward elimination, :func:`column_elimination`, which
+column insertion and deletion also read their guards and coordinates from.
 
 The section at column j is the submatrix formed by the rows whose pivot is
 at or before j and the columns strictly after j.  Column j is essential when
@@ -20,8 +22,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .matspace import (Mat, left_pivots, pivot_count_upto, rank_of,
-                       right_pivots)
+from .matspace import (Mat, _eliminate, left_pivots, pivot_count_upto,
+                       rank_of, right_pivots)
 from .motzkin import MotzkinPath
 
 
@@ -41,36 +43,34 @@ def section_ranks(x):
     return tuple(section_rank(x, j) for j in range(x.n + 1))
 
 
-def section_profile(x):
-    """All sections with their ranks, indexed by j = 0..n."""
-    out = []
-    for j in range(x.n + 1):
-        s = section(x, j)
-        out.append((s, rank_of(x.field, s.rows, s.n)))
-    return out
-
-
 class ColumnClass(NamedTuple):
     pivotal: bool
     essential: bool
 
 
-def classify_column(x, j):
-    """Classification of column j of the rref x, 1 <= j <= n."""
+def column_elimination(x, j):
+    """(class, m, elimination) of column j of the rref x, 1 <= j <= n.
+
+    A pivotal j is the m-th pivot: its section, the pivot row's tail last,
+    is eliminated and j is essential when that tail is kept.  A nonpivotal
+    j has m pivots before it: the column-j entries are appended to its
+    section as a last column, and j is essential when a pivot lands there.
+    """
     if not 1 <= j <= x.n:
         raise ValueError(f"column {j} outside [1, {x.n}]")
     m = pivot_count_upto(x, j)
-    pivotal = m > 0 and x.pivots[m - 1] == j
     w = x.n - j
-    if pivotal:
-        head = [row[j:] for row in x.rows[:m - 1]]
-        essential = rank_of(x.field, head + [x.rows[m - 1][j:]], w) \
-            > rank_of(x.field, head, w)
-    else:
-        rows = x.rows[:m]
-        essential = rank_of(x.field, [r[j - 1:] for r in rows], w + 1) \
-            > rank_of(x.field, [r[j:] for r in rows], w)
-    return ColumnClass(pivotal, essential)
+    if m and x.pivots[m - 1] == j:
+        e = _eliminate(x.field, [row[j:] for row in x.rows[:m]], w)
+        return ColumnClass(True, m - 1 in e.kept), m, e
+    e = _eliminate(x.field, [row[j:] + row[j - 1:j] for row in x.rows[:m]],
+                   w + 1)
+    return ColumnClass(False, w + 1 in e.pivots), m, e
+
+
+def classify_column(x, j):
+    """Classification of column j of the rref x, 1 <= j <= n."""
+    return column_elimination(x, j)[0]
 
 
 def classify_columns(x):

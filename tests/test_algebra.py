@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qlattice import (GF, NotPrimePowerError, QPoly, UnsupportedFieldError,
-                      gf, poly_eval, qpoly_from_text)
+                      gf, qpoly_from_text)
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -131,9 +131,9 @@ def test_qpoly_frozen_products():
 
 
 def test_qpoly_eval_examples():
-    assert poly_eval(QPoly((0, 0, 0, 1, 1)), 2) == 24
-    assert poly_eval(QPoly.zero(), 17) == 0
-    assert poly_eval(QPoly((1, 1, 1)), 3) == 13
+    assert QPoly((0, 0, 0, 1, 1))(2) == 24
+    assert QPoly.zero()(17) == 0
+    assert QPoly((1, 1, 1))(3) == 13
 
 
 def test_qpoly_canonical_form():
@@ -159,7 +159,7 @@ def test_qpoly_overflow_is_detected():
 
 def test_qpoly_eval_overflow():
     with pytest.raises(OverflowError):
-        poly_eval(QPoly.monomial(64), 2)
+        QPoly.monomial(64)(2)
 
 
 def test_qpoly_pretty_and_serialized_forms():

@@ -1,10 +1,13 @@
 """Frozen CLI output of sbd, scd and census on small prime and extension
 fields, text and --json: byte count and sha256 of stdout.  Any change to a
 decomposition member, its order or its formatting shows up here.  The
-identity verifiers and the path ceiling are frozen as exact exit code,
-stdout and stderr."""
+identity verifiers, the path ceiling and psi, classify and cover on fixed
+matrix files over every supported field (golden_lattice.json) are frozen as
+exact exit code, stdout and stderr."""
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -106,3 +109,25 @@ def test_exact_output(capsys, monkeypatch, argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == EXACT[argv]
+
+
+LATTICE = json.loads((Path(__file__).parent / "golden_lattice.json")
+                     .read_text())
+
+
+@pytest.mark.parametrize("run", LATTICE["runs"],
+                         ids=[" ".join(r["argv"]) for r in LATTICE["runs"]])
+def test_lattice_output(capsys, tmp_path, run):
+    """psi, classify and cover on the matrix files named in the argv; the
+    names are replaced by paths of files holding the matrix text."""
+    argv = []
+    for arg in run["argv"]:
+        if arg in LATTICE["matrices"]:
+            path = tmp_path / arg
+            path.write_text(LATTICE["matrices"][arg])
+            arg = str(path)
+        argv.append(arg)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == \
+        (run["code"], run["out"], run["err"])

@@ -4,8 +4,8 @@ import pytest
 
 import qlattice.identities
 from qlattice import (QPoly, TooLargeError, enumerate_paths, fiber_census,
-                      galois, gf, goldman_rota_check, path_weight, poly_eval,
-                      qbinomial, verify_ds, verify_fs)
+                      galois, gf, goldman_rota_check, qbinomial, verify_ds,
+                      verify_fs)
 
 
 def qbinomial_value_oracle(n, k, q):
@@ -57,7 +57,7 @@ def test_qbinomial_frozen():
     assert qbinomial(3, 1) == QPoly((1, 1, 1))
     assert qbinomial(5, 0) == QPoly.one()
     assert qbinomial(4, 4) == QPoly.one()
-    assert poly_eval(qbinomial(4, 2), 2) == 35
+    assert qbinomial(4, 2)(2) == 35
     assert qbinomial(3, 5) == QPoly.zero()
     assert qbinomial(3, -1) == QPoly.zero()
 
@@ -68,17 +68,17 @@ def test_qbinomial_against_product_formula():
             p = qbinomial(n, k)
             assert p == qbinomial(n, n - k)
             for q in (2, 3, 5):
-                assert poly_eval(p, q) == qbinomial_value_oracle(n, k, q)
+                assert p(q) == qbinomial_value_oracle(n, k, q)
 
 
 def test_galois_frozen_expansions():
     assert galois(2) == QPoly((3, 1))          # 2^2 + (q-1)
     assert galois(3) == QPoly((4, 2, 2))       # 2^3 + (q-1 + q^2-1)*2
-    assert [poly_eval(galois(n), 2) for n in range(9)] == \
+    assert [galois(n)(2) for n in range(9)] == \
         [1, 2, 5, 16, 67, 374, 2825, 29212, 417199]
     for n in range(9):
         for q in (2, 3):
-            assert poly_eval(galois(n), q) == galois_value_oracle(q, n)
+            assert galois(n)(q) == galois_value_oracle(q, n)
 
 
 def test_goldman_rota_symbolic():
@@ -130,9 +130,9 @@ def test_verify_fs_printed_n5_coefficients():
     two_descent = QPoly.zero()
     for p in enumerate_paths(5):
         if p.down_count == 1:
-            one_descent = one_descent + path_weight(p)
+            one_descent = one_descent + p.weight()
         elif p.down_count == 2:
-            two_descent = two_descent + path_weight(p)
+            two_descent = two_descent + p.weight()
     assert one_descent == QPoly((4, 3, 2, 1))
     assert two_descent == QPoly((3, 4, 4, 3, 1))
 
@@ -142,7 +142,7 @@ def test_expansion_instance_n3_k1():
     # and descent weights 1, 1, q.
     lhs = qbinomial(3, 1)
     assert lhs == 3 + QPoly((-1, 1)) * QPoly((2, 1))
-    weights = [path_weight(p) for p in enumerate_paths(3) if p.down_count == 1]
+    weights = [p.weight() for p in enumerate_paths(3) if p.down_count == 1]
     total = QPoly.zero()
     for w in weights:
         total = total + w

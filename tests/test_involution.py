@@ -1,9 +1,8 @@
 import pytest
 
-from qlattice import (Involution, QPoly, TooLargeError, biane, biane_fiber,
-                      down_height_product, enumerate_involutions,
-                      involution_count, involution_weight, parse_involution,
-                      parse_path, path_weight)
+from qlattice import (Involution, MotzkinPath, QPoly, TooLargeError, biane,
+                      biane_fiber, down_height_product, enumerate_involutions,
+                      involution_count, parse_involution)
 
 
 def involution_count_oracle(n):
@@ -55,12 +54,12 @@ def test_enumeration_guard():
 
 
 def test_weight_statistics():
-    spans, crossings, w = involution_weight(
-        Involution(9, ((1, 8), (2, 6), (3, 9), (4, 7))))
+    spans, crossings, w = Involution(
+        9, ((1, 8), (2, 6), (3, 9), (4, 7))).weight_stats()
     assert (spans, crossings, w) == (16, 3, 13)
-    assert involution_weight(Involution(7, ())) == (0, 0, 0)
+    assert Involution(7, ()).weight_stats() == (0, 0, 0)
     # nested arcs do not cross
-    assert involution_weight(Involution(6, ((1, 6), (3, 5)))) == (5, 0, 5)
+    assert Involution(6, ((1, 6), (3, 5))).weight_stats() == (5, 0, 5)
 
 
 def test_biane_examples():
@@ -76,13 +75,13 @@ def test_biane_preserves_cycle_count():
 
 
 def test_fiber_frozen_examples():
-    fiber = biane_fiber(parse_path("UHUHDD"))
+    fiber = biane_fiber(MotzkinPath("UHUHDD"))
     assert {str(d) for d in fiber} == {"[1,6][3,5]", "[1,5][3,6]"}
-    assert biane_fiber(parse_path("HHHH")) == [Involution(4, ())]
-    small = biane_fiber(parse_path("UHD"))
+    assert biane_fiber(MotzkinPath("HHHH")) == [Involution(4, ())]
+    small = biane_fiber(MotzkinPath("UHD"))
     assert [d.cycles for d in small] == [((1, 3),)]
-    assert QPoly.monomial(involution_weight(small[0])[2]) == \
-        path_weight(parse_path("UHD"))
+    assert QPoly.monomial(small[0].weight_stats()[2]) == \
+        MotzkinPath("UHD").weight()
 
 
 def test_fibers_partition_and_match_height_products():
@@ -102,5 +101,5 @@ def test_fiber_weight_sums_equal_path_weights():
         for p in enumerate_paths(n):
             acc = QPoly.zero()
             for d in biane_fiber(p):
-                acc = acc + QPoly.monomial(involution_weight(d)[2])
-            assert acc == path_weight(p)
+                acc = acc + QPoly.monomial(d.weight_stats()[2])
+            assert acc == p.weight()

@@ -3,10 +3,8 @@ from math import factorial
 import pytest
 
 from conftest import weight_sums_by_enumeration
-from qlattice import (MotzkinPath, QPoly, TooLargeError, down_count,
-                      down_height_product, enumerate_paths, motzkin_number,
-                      parse_path, path_weight, poly_eval,
-                      weight_sums_by_downs)
+from qlattice import (MotzkinPath, QPoly, TooLargeError, down_height_product,
+                      enumerate_paths, motzkin_number, weight_sums_by_downs)
 from qlattice.motzkin import step_weight
 
 
@@ -30,20 +28,20 @@ def height_product_oracle(steps):
 
 
 def test_parse_valid_paths():
-    p = parse_path("UHDHUUHDD")
+    p = MotzkinPath("UHDHUUHDD")
     assert p.down_count == 3
     assert len(p) == 9
-    assert parse_path("").steps == ""
-    assert str(parse_path("UHD")) == "UHD"
+    assert MotzkinPath("").steps == ""
+    assert str(MotzkinPath("UHD")) == "UHD"
 
 
 def test_parse_errors():
     with pytest.raises(ValueError, match="below the axis"):
-        parse_path("DU")
+        MotzkinPath("DU")
     with pytest.raises(ValueError, match="ends at height"):
-        parse_path("UU")
+        MotzkinPath("UU")
     with pytest.raises(ValueError, match="invalid step"):
-        parse_path("UXD")
+        MotzkinPath("UXD")
 
 
 def test_enumeration_n3_exact_order():
@@ -87,30 +85,30 @@ def test_weight_sums_at_one_count_involutions_by_cycles():
     # q = 1 count the involutions on [n] with d two-cycles:
     # n! / (d! 2^d (n-2d)!).
     for n in range(20):
-        got = [poly_eval(s, 1) for s in weight_sums_by_downs(n)]
+        got = [s(1) for s in weight_sums_by_downs(n)]
         assert got == [factorial(n) // (factorial(d) * 2**d
                                         * factorial(n - 2 * d))
                        for d in range(n // 2 + 1)]
 
 
 def test_weight_frozen_examples():
-    assert path_weight(parse_path("UHDHUUHDD")) == QPoly((0, 0, 0, 0, 1, 1))
-    assert path_weight(parse_path("HHH")) == QPoly.one()
-    assert path_weight(parse_path("UHUDHD")) == QPoly((0, 0, 0, 1, 1))
+    assert MotzkinPath("UHDHUUHDD").weight() == QPoly((0, 0, 0, 0, 1, 1))
+    assert MotzkinPath("HHH").weight() == QPoly.one()
+    assert MotzkinPath("UHUDHD").weight() == QPoly((0, 0, 0, 1, 1))
 
 
 def test_weight_at_one_is_product_of_down_heights():
     for n in range(7):
         for p in enumerate_paths(n):
             expected = height_product_oracle(p.steps)
-            assert poly_eval(path_weight(p), 1) == expected
+            assert p.weight()(1) == expected
             assert down_height_product(p) == expected
 
 
 def test_down_count_examples():
-    assert down_count(parse_path("UHDHUUHDD")) == 3
-    assert down_count(parse_path("HHH")) == 0
-    assert down_count(parse_path("UUDHUDHD")) == 3
+    assert MotzkinPath("UHDHUUHDD").down_count == 3
+    assert MotzkinPath("HHH").down_count == 0
+    assert MotzkinPath("UUDHUDHD").down_count == 3
 
 
 def test_heights_and_step_balance():
@@ -125,6 +123,6 @@ def test_heights_and_step_balance():
 
 
 def test_path_equality_and_hash():
-    assert parse_path("UHD") == MotzkinPath("UHD")
-    assert len({parse_path("UHD"), MotzkinPath("UHD")}) == 1
-    assert parse_path("UHD") != parse_path("UDH")
+    assert MotzkinPath("UHD") == MotzkinPath("UHD")
+    assert len({MotzkinPath("UHD"), MotzkinPath("UHD")}) == 1
+    assert MotzkinPath("UHD") != MotzkinPath("UDH")

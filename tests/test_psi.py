@@ -5,8 +5,8 @@ import pytest
 from conftest import eight_col_family, six_col_family
 from qlattice import (classify_column, classify_columns, enumerate_subspaces,
                       full_space, gf, is_primary, path_from_classification,
-                      pivot_data, psi, section, section_profile, section_rank,
-                      section_ranks, set_and_subset, span, zero_subspace)
+                      pivot_data, psi, section, section_rank, section_ranks,
+                      set_and_subset, span, zero_subspace)
 
 F2 = gf(2)
 F3 = gf(3)
@@ -20,15 +20,6 @@ def test_section_shapes_and_edges():
     assert section(x, 2).rows == ((), ()) and section(x, 2).n == 0
     assert section(x, 0).rows == ()
     assert section_rank(x, 0) == 0 and section_rank(x, 2) == 0
-
-
-def test_section_profile_matches_sections_and_ranks():
-    x = span(F2, [(1, 0, 0, 1), (0, 0, 1, 1)], 4)
-    profile = section_profile(x)
-    assert len(profile) == 5
-    assert tuple(rank for _, rank in profile) == section_ranks(x)
-    for j, (mat, _) in enumerate(profile):
-        assert mat == section(x, j)
 
 
 def test_section_ranks_of_eight_column_family():
