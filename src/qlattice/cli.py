@@ -24,7 +24,7 @@ from .involution import biane, enumerate_involutions, parse_involution
 from .matspace import (format_matrix, left_pivots, parse_matrix, right_pivots,
                        rref_left)
 from .motzkin import MotzkinPath, enumerate_paths
-from .psi import classify_columns, psi, set_and_subset
+from .psi import classify_columns, pivot_data, psi
 
 
 def _max_size(args):
@@ -80,64 +80,63 @@ def _cmd_biane(args):
     return 0
 
 
-def _classification_lines(x):
+def _classification_lines(path, classes):
     lines = ["column pivotal essential step"]
-    path = psi(x)
-    for j, cls in enumerate(classify_columns(x), start=1):
+    for j, cls in enumerate(classes, start=1):
         lines.append(f"{j:6d} {str(cls.pivotal):7s} {str(cls.essential):9s} "
                      f"{path.steps[j - 1]}")
     return lines
 
 
+def _columns_payload(classes):
+    return [{"column": j, "pivotal": c.pivotal, "essential": c.essential}
+            for j, c in enumerate(classes, start=1)]
+
+
+def _rref_text(x):
+    return ";".join(",".join(map(str, row)) for row in x.rows) or "-"
+
+
 def _cmd_psi(args):
     x = _load_rref(args)
-    path = psi(x)
-    ground, inl = set_and_subset(x)
-    payload = {
-        "path": path.steps,
-        "left_pivots": sorted(left_pivots(x)),
-        "right_pivots": sorted(right_pivots(x)),
-        "set": sorted(ground),
-        "subset": sorted(inl),
-        "columns": [{"column": j, "pivotal": c.pivotal, "essential": c.essential}
-                    for j, c in enumerate(classify_columns(x), start=1)],
-    }
-    text = "\n".join([
-        f"path    {path.steps}",
-        f"L       {sorted(left_pivots(x))}",
-        f"R       {sorted(right_pivots(x))}",
-        f"set     {sorted(ground)}",
-        f"subset  {sorted(inl)}",
-        *_classification_lines(x),
-    ])
-    _emit(args, payload, text)
+    path, ground, inl = pivot_data(x)
+    left, right = sorted(left_pivots(x)), sorted(right_pivots(x))
+    classes = classify_columns(x)
+    if args.json:
+        print(json.dumps({
+            "path": path.steps, "left_pivots": left, "right_pivots": right,
+            "set": sorted(ground), "subset": sorted(inl),
+            "columns": _columns_payload(classes)}))
+    else:
+        print("\n".join([f"path    {path.steps}", f"L       {left}",
+                         f"R       {right}", f"set     {sorted(ground)}",
+                         f"subset  {sorted(inl)}",
+                         *_classification_lines(path, classes)]))
     return 0
 
 
 def _cmd_classify(args):
     x = _load_rref(args)
-    payload = {"columns": [{"column": j, "pivotal": c.pivotal,
-                            "essential": c.essential}
-                           for j, c in enumerate(classify_columns(x), start=1)]}
-    _emit(args, payload, "\n".join(_classification_lines(x)))
+    classes = classify_columns(x)
+    if args.json:
+        print(json.dumps({"columns": _columns_payload(classes)}))
+    else:
+        print("\n".join(_classification_lines(psi(x), classes)))
     return 0
 
 
 def _cmd_sbd(args):
     field = gf(args.q)
     blocks = sbd(field, args.n, _max_size(args))
-    payload = [{"path": b.path.steps,
-                "primary_rref": [list(r) for r in b.primary.rows],
-                "set": list(b.ground),
-                "members": b.size} for b in blocks]
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps([{"path": b.path.steps,
+                           "primary_rref": [list(r) for r in b.primary.rows],
+                           "set": list(b.ground),
+                           "members": b.size} for b in blocks]))
     else:
         for b in blocks:
-            rref = ";".join(",".join(str(e) for e in row)
-                            for row in b.primary.rows) or "-"
             print(f"{b.path.steps or '-'} members={b.size} "
-                  f"set={sorted(b.ground)} primary=[{rref}]")
+                  f"set={sorted(b.ground)} primary=[{_rref_text(b.primary)}]")
     return 0
 
 
@@ -153,9 +152,7 @@ def _cmd_scd(args):
         for i, chain in enumerate(dec.chains, start=1):
             print(f"chain {i} (ranks {chain[0].dim}..{chain[-1].dim})")
             for x in chain:
-                rref = ";".join(",".join(str(e) for e in row)
-                                for row in x.rows) or "-"
-                print(f"  [{rref}]")
+                print(f"  [{_rref_text(x)}]")
     return 0
 
 

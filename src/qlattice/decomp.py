@@ -16,8 +16,8 @@ the scalar multiple c / (1 + b . c^T); :func:`gamma` and :func:`gamma_inv`
 remain as the reference matrices it is tested against.  A block member
 ins_set(x, S) is built from the member at S - {min S} by one insertion, the
 last step ins_set itself takes, so a block costs one insertion per member
-besides its primary; the chain decomposition reads its chains from the same
-member maps.
+besides its primary, paid on the first read of its members; the chain
+decomposition reads its chains from the same member maps.
 
 Bracket matching convention: inside the ground set J, an element of I reads
 ")" and an element of J - I reads "("; adjacent pairs are matched
@@ -29,6 +29,7 @@ into a member, and I is a chain top exactly when no unmatched "(" remains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .matspace import Mat, Rref, enumerate_subspaces
@@ -207,16 +208,23 @@ def ins_set(x, cols):
 class BooleanBlock:
     """The family of subspaces obtained from one primary rref by inserting
     every subset of its inessential columns; order-isomorphic to the subset
-    lattice of the ground set, with ranks symmetric about n/2."""
+    lattice of the ground set, with ranks symmetric about n/2.  The members
+    are built on first read; the size and the rank window follow from the
+    primary and the ground set alone."""
 
     primary: Rref
     path: MotzkinPath
     ground: tuple
-    members: dict  # frozenset of columns -> Rref
+
+    @cached_property
+    def members(self):
+        """frozenset of columns -> Rref, ins_set(primary, S) for every
+        subset S of the ground set, by size and then lexicographically."""
+        return _block_members(self.primary, self.ground)
 
     @property
     def size(self):
-        return len(self.members)
+        return 2 ** len(self.ground)
 
     @property
     def min_rank(self):
@@ -239,22 +247,30 @@ def _block_members(x, ground):
     return members
 
 
+def _block(x, data):
+    """The block of the primary rref x from its pivot data."""
+    return BooleanBlock(x, data.path, tuple(sorted(data.inessential)))
+
+
 def boolean_block(x):
-    """Build the block of the primary rref x from one pass over its pivot
-    sets; raises ValueError when x has an inessential pivot.  The members
-    are built incrementally, one insertion each."""
-    path, ground, inl_pivots = pivot_data(x)
-    if inl_pivots:
+    """The block of the primary rref x, from one pass over its pivot sets;
+    raises ValueError when x has an inessential pivot."""
+    data = pivot_data(x)
+    if data.inessential_pivots:
         raise ValueError("boolean_block requires a primary rref")
-    ground = tuple(sorted(ground))
-    return BooleanBlock(x, path, ground, _block_members(x, ground))
+    return _block(x, data)
 
 
 def sbd(field, n, max_size=None):
     """The symmetric Boolean decomposition of the subspace lattice of
-    F_q^n: one block per primary rref, in enumeration order."""
-    return [boolean_block(x) for x in enumerate_subspaces(field, n, max_size)
-            if not pivot_data(x).inessential_pivots]
+    F_q^n: one block per primary rref, in enumeration order, each read from
+    the pivot data that singles out its primary."""
+    blocks = []
+    for x in enumerate_subspaces(field, n, max_size):
+        data = pivot_data(x)
+        if not data.inessential_pivots:
+            blocks.append(_block(x, data))
+    return blocks
 
 
 def _bracket_scan(ground, members):

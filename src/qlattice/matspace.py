@@ -7,6 +7,8 @@ subspace is the 0 x n empty rref.
 
 Every row reduction is one forward pass, :func:`_eliminate`; the rref, the
 rank, membership, the lexically first basis and coordinates are read from it.
+Containment in a subspace needs no elimination: :func:`subspace_leq` reduces
+each row against the rows of the given rref, which are already reduced.
 """
 
 from __future__ import annotations
@@ -187,10 +189,24 @@ def in_rowspace(x, vec):
 
 
 def subspace_leq(a, b):
-    """Containment a <= b in the subspace lattice."""
+    """Containment a <= b in the subspace lattice.  The rows of the rref b
+    are zero at each other's pivots, so a row v of a lies in b exactly when
+    v - sum(v[p_i] b_i) over the pivots p_i of b is zero."""
     if a.field != b.field or a.n != b.n:
         raise ValueError("subspaces live in different ambient spaces")
-    return len(_eliminate(b.field, b.rows + a.rows, b.n).kept) == b.dim
+    if a.dim > b.dim:
+        return False
+    sub, mul = b.field.sub, b.field.mul
+    for row in a.rows:
+        r = list(row)
+        for p, brow in zip(b.pivots, b.rows):
+            c = r[p - 1]
+            if c:
+                for t in range(p - 1, b.n):
+                    r[t] = sub(r[t], mul(c, brow[t]))
+        if any(r):
+            return False
+    return True
 
 
 def subspace_count(q, n):

@@ -1,11 +1,14 @@
+import importlib
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
 import qlattice.cli
 import qlattice.identities
+import qlattice.matspace
 from qlattice.cli import main
 
 
@@ -177,6 +180,34 @@ def test_scd_output(capsys):
     assert sorted(len(c) for c in payload["chains"]) == [1, 1, 3]
     code, out, _ = run(capsys, "scd", "--q", "2", "--n", "1")
     assert "chain 1" in out
+
+
+@pytest.mark.parametrize("argv, eliminations", [
+    (("psi",), 11), (("psi", "--json"), 11),
+    (("classify",), 10), (("classify", "--json"), 9)], ids=str)
+def test_lattice_commands_eliminate_once_per_column(
+        capsys, monkeypatch, tmp_path, argv, eliminations):
+    """On the 8-column q=3 golden file: one elimination for the rref and
+    one per column; psi adds the pivot-data pass and the one behind R, and
+    classify adds the pivot-data pass only for the path column of its text
+    form."""
+    lattice = json.loads((Path(__file__).parent / "golden_lattice.json")
+                         .read_text())
+    path = tmp_path / "q3-eight"
+    path.write_text(lattice["matrices"]["q3-eight"])
+    calls = []
+    real = qlattice.matspace._eliminate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qlattice.matspace, "_eliminate", counting)
+    # the package name qlattice.psi is the function; patch the module
+    monkeypatch.setattr(importlib.import_module("qlattice.psi"),
+                        "_eliminate", counting)
+    code, _, _ = run(capsys, argv[0], "--matrix", str(path), *argv[1:])
+    assert code == 0 and len(calls) == eliminations
 
 
 def test_max_size_flag_and_env(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from qlattice import (boolean_block, bracket_chain, bracket_chains,
                       path_from_classification, phi, phi_inv, psi, sbd, scd,
                       scd_cover, section_ranks, set_and_subset, span,
                       subspace_count, subspace_leq, zero_subspace)
+from qlattice import decomp
 from qlattice.decomp import _inverse_update_row
 
 F2 = gf(2)
@@ -421,6 +422,48 @@ def test_incremental_members_match_ins_set(q):
                 for cols in combinations(ground, size)]
             for cols, member in blk.members.items():
                 assert member == ins_set(x, cols)
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_sbd_members_built_on_first_read(q, monkeypatch):
+    """sbd builds no member until one is read: the block data alone costs
+    no insertion, the first read of the members costs one per non-primary
+    member and later reads none.  The blocks equal boolean_block over the
+    primaries, and boolean_block refuses every non-primary."""
+    field = gf(q)
+    calls = []
+    real_ins_col = decomp.ins_col
+
+    def counting_ins_col(x, j):
+        calls.append(j)
+        return real_ins_col(x, j)
+
+    monkeypatch.setattr(decomp, "ins_col", counting_ins_col)
+    for n in range(5 if q <= 3 else 4):
+        blocks = sbd(field, n)
+        for blk in blocks:
+            assert blk.size == 2 ** len(blk.ground)
+            assert (blk.min_rank, blk.max_rank) == (
+                blk.path.down_count, n - blk.path.down_count)
+        expected = list(primaries(field, n))
+        assert blocks == [boolean_block(x) for x, _ in expected]
+        assert calls == []
+        for blk, (x, ground) in zip(blocks, expected):
+            assert blk.primary == x and list(blk.ground) == ground
+            members = blk.members
+            assert len(calls) == blk.size - 1
+            assert blk.members is members and len(calls) == blk.size - 1
+            assert len(members) == blk.size
+            assert list(members) == [
+                frozenset(cols) for size in range(len(ground) + 1)
+                for cols in combinations(ground, size)]
+            for cols, member in members.items():
+                assert member == ins_set(x, cols)
+            calls.clear()
+        for x in enumerate_subspaces(field, n):
+            if not is_primary(x):
+                with pytest.raises(ValueError, match="primary"):
+                    boolean_block(x)
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS)

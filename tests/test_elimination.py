@@ -1,8 +1,9 @@
 """The forward elimination kernel and everything read from it, against
 brute force over all seven supported fields: the rref against full
 Gauss-Jordan elimination, ranks and the lexically first basis against span
-sizes, coordinates by reconstructing the target, and the column guards of
-ins_col/del_col against the rank definition of the column classes."""
+sizes, coordinates by reconstructing the target, containment against span
+containment, and the column guards of ins_col/del_col against the rank
+definition of the column classes."""
 
 import random
 from itertools import product
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import gauss_jordan
 from qlattice import (Mat, classify_column, del_col, enumerate_subspaces, gf,
-                      ins_col, rref_left)
+                      ins_col, rref_left, subspace_leq)
 from qlattice.matspace import (_eliminate, express_in_rows, in_rowspace,
                                lexically_first_basis, rank_of)
 
@@ -96,6 +97,31 @@ def test_coordinates_and_membership_against_spans(q):
         kept = [rows[i] for i in e.kept]
         for i, row in enumerate(rows):
             assert combine(field, e.coefficients(i), kept, n) == tuple(row)
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_subspace_leq_against_spans(q):
+    """Pairs (a, b) with b from the seeded matrices and a either from
+    combinations of b's rows (so a <= b) or from random rows; both
+    directions are checked against containment of the brute-force spans."""
+    field = gf(q)
+    rng = random.Random(2000 + q)
+    found = set()
+    for n, rows in random_matrices(q):
+        b = rref_left(Mat(field, n, tuple(rows)))
+        if rng.random() < 0.5:
+            a_rows = [combine(field, [rng.randrange(q) for _ in rows], rows, n)
+                      for _ in range(rng.randrange(3))]
+        else:
+            a_rows = [tuple(rng.randrange(q) for _ in range(n))
+                      for _ in range(rng.randrange(3))]
+        a = rref_left(Mat(field, n, tuple(a_rows)))
+        sa, sb = span_of(field, a.rows, n), span_of(field, b.rows, n)
+        assert subspace_leq(a, b) == (sa <= sb)
+        assert subspace_leq(b, a) == (sb <= sa)
+        found.add((sa <= sb, sb <= sa))
+    # both outcomes occur in each direction
+    assert {x for x, _ in found} == {y for _, y in found} == {False, True}
 
 
 def reference_class(x, j):
