@@ -289,6 +289,8 @@ def _c10_chain_decomposition():
 
 
 def _six_col_rref(field, a, b, c, d, e):
+    """Three-pivot rref on six columns; b and d must be units for the
+    documented pivot/essentiality pattern to hold."""
     rows = ((1, a, 0, b, 0, 0),
             (0, 0, 1, c, 0, d),
             (0, 0, 0, 0, 1, e))
@@ -296,6 +298,7 @@ def _six_col_rref(field, a, b, c, d, e):
 
 
 def _eight_col_rref(field, a, b, c, d, e, f):
+    """Primary three-pivot rref on eight columns; a, d, e, f units."""
     rows = ((1, 0, a, 0, 0, 0, 0, 0),
             (0, 1, b, c, 0, d, e, e),
             (0, 0, 0, 0, 1, 0, f, f))

@@ -18,7 +18,6 @@ import sys
 from . import acceptance
 from .algebra import gf
 from .decomp import sbd, scd, scd_cover
-from .errors import TooLargeError
 from .identities import fiber_census, verify_ds, verify_fs
 from .involution import biane, enumerate_involutions, parse_involution
 from .matspace import (format_matrix, left_pivots, parse_matrix, right_pivots,
@@ -331,7 +330,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (TooLargeError, ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

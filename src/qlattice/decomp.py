@@ -16,8 +16,8 @@ the scalar multiple c / (1 + b . c^T); :func:`gamma` and :func:`gamma_inv`
 remain as the reference matrices it is tested against.  A block member
 ins_set(x, S) is built from the member at S - {min S} by one insertion, the
 last step ins_set itself takes, so a block costs one insertion per member
-besides its primary, paid on the first read of its members; the chain
-decomposition reads its chains from the same member maps.
+besides its primary, paid on the first read of its members; both
+decompositions read their blocks from one stream of primary blocks.
 
 Bracket matching convention: inside the ground set J, an element of I reads
 ")" and an element of J - I reads "("; adjacent pairs are matched
@@ -219,8 +219,15 @@ class BooleanBlock:
     @cached_property
     def members(self):
         """frozenset of columns -> Rref, ins_set(primary, S) for every
-        subset S of the ground set, by size and then lexicographically."""
-        return _block_members(self.primary, self.ground)
+        subset S of the ground set, by size and then lexicographically.
+        Each member is one insertion of min S into the member at
+        S - {min S}, which is the last step of ins_set."""
+        members = {frozenset(): self.primary}
+        for size in range(1, len(self.ground) + 1):
+            for cols in combinations(self.ground, size):
+                members[frozenset(cols)] = ins_col(
+                    members[frozenset(cols[1:])], cols[0])
+        return members
 
     @property
     def size(self):
@@ -233,18 +240,6 @@ class BooleanBlock:
     @property
     def max_rank(self):
         return self.primary.dim + len(self.ground)
-
-
-def _block_members(x, ground):
-    """{S: ins_set(x, S)} over the subsets S of the sorted ground set, by
-    size and then lexicographically.  Each member is one insertion of min S
-    into the member at S - {min S}, which is the last step of ins_set."""
-    members = {frozenset(): x}
-    for size in range(1, len(ground) + 1):
-        for cols in combinations(ground, size):
-            members[frozenset(cols)] = ins_col(
-                members[frozenset(cols[1:])], cols[0])
-    return members
 
 
 def _block(x, data):
@@ -261,16 +256,19 @@ def boolean_block(x):
     return _block(x, data)
 
 
-def sbd(field, n, max_size=None):
-    """The symmetric Boolean decomposition of the subspace lattice of
-    F_q^n: one block per primary rref, in enumeration order, each read from
-    the pivot data that singles out its primary."""
-    blocks = []
+def _primary_blocks(field, n, max_size):
+    """Yield the block of every primary rref of F_q^n in enumeration order,
+    each read from the pivot data that singles out its primary."""
     for x in enumerate_subspaces(field, n, max_size):
         data = pivot_data(x)
         if not data.inessential_pivots:
-            blocks.append(_block(x, data))
-    return blocks
+            yield _block(x, data)
+
+
+def sbd(field, n, max_size=None):
+    """The symmetric Boolean decomposition of the subspace lattice of
+    F_q^n: one block per primary rref, in enumeration order."""
+    return list(_primary_blocks(field, n, max_size))
 
 
 def _bracket_scan(ground, members):
@@ -321,9 +319,10 @@ def bracket_chains(ground):
     for size in range(len(ground) + 1):
         for cols in combinations(ground, size):
             members = frozenset(cols)
-            close, _ = _bracket_scan(ground, members)
-            if not close:  # chain minimum
-                chains.append(bracket_chain(ground, members))
+            close, stack = _bracket_scan(ground, members)
+            if not close:  # a chain minimum: fill its unmatched "(" in order
+                chains.append([members.union(stack[:t])
+                               for t in range(len(stack) + 1)])
     return chains
 
 
@@ -362,14 +361,10 @@ def scd(field, n, max_size=None):
     obtained by transporting the bracket chains of every Boolean block
     through the insertion maps: each chain member at the set S is the block
     member ins_set(primary, S), read from the block's incrementally built
-    member map."""
+    member map.  Each block is dropped once its chains are read."""
     chains = []
-    for x in enumerate_subspaces(field, n, max_size):
-        _, ground, inl_pivots = pivot_data(x)
-        if inl_pivots:
-            continue
-        ground = sorted(ground)
-        members = _block_members(x, ground)
+    for block in _primary_blocks(field, n, max_size):
+        members = block.members
         chains.extend([members[cols] for cols in sets]
-                      for sets in bracket_chains(ground))
+                      for sets in bracket_chains(block.ground))
     return ChainDecomposition(field, n, chains)

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import TooLargeError
-from .matspace import DEFAULT_MAX_SIZE
+from .errors import _check_ceiling
 from .motzkin import MotzkinPath
 
 _CYCLE_RE = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]")
@@ -95,11 +94,8 @@ def involution_count(n):
 
 def enumerate_involutions(n, max_size=None):
     """Yield every involution on [n] exactly once."""
-    limit = DEFAULT_MAX_SIZE if max_size is None else max_size
     total = involution_count(n)
-    if total > limit:
-        raise TooLargeError(
-            f"{total} involutions on [{n}], above the ceiling {limit}")
+    _check_ceiling(total, max_size, f"{total} involutions on [{n}]")
 
     def rec(points):
         if not points:

@@ -19,10 +19,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .algebra import GF, gf
-from .errors import TooLargeError
-
-#: Default ceiling on the number of elements any enumeration may produce.
-DEFAULT_MAX_SIZE = 500_000
+from .errors import DEFAULT_MAX_SIZE, _check_ceiling  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -227,11 +224,8 @@ def enumerate_subspaces(field, n, max_size=None):
     the free entries running through an odometer (row-major positions, last
     position fastest).
     """
-    limit = DEFAULT_MAX_SIZE if max_size is None else max_size
     total = subspace_count(field.q, n)
-    if total > limit:
-        raise TooLargeError(
-            f"F_{field.q}^{n} has {total} subspaces, above the ceiling {limit}")
+    _check_ceiling(total, max_size, f"F_{field.q}^{n} has {total} subspaces")
     els = tuple(field.elements())
     for k in range(n + 1):
         for pivots in combinations(range(1, n + 1), k):

@@ -13,8 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import QPoly
-from .errors import TooLargeError
-from .matspace import DEFAULT_MAX_SIZE
+from .errors import _check_ceiling
 
 
 @lru_cache(maxsize=None)
@@ -81,11 +80,8 @@ class MotzkinPath:
 def check_path_ceiling(n, max_size=None):
     """Raise TooLargeError when the paths of length n outnumber the ceiling
     (default DEFAULT_MAX_SIZE)."""
-    limit = DEFAULT_MAX_SIZE if max_size is None else max_size
     total = motzkin_number(n)
-    if total > limit:
-        raise TooLargeError(
-            f"{total} paths of length {n}, above the ceiling {limit}")
+    _check_ceiling(total, max_size, f"{total} paths of length {n}")
 
 
 def enumerate_paths(n, max_size=None):

@@ -7,9 +7,11 @@ classifies each column as pivotal/nonpivotal and essential/inessential via
 the sections of the matrix; both routes are implemented so they can be
 checked against each other.  The pivot-set route runs in one place,
 :func:`pivot_data`, which yields the path, the inessential columns and the
-inessential pivots from a single right-to-left elimination.  A column is
-classified by one forward elimination, :func:`column_elimination`, which
-column insertion and deletion also read their guards and coordinates from.
+inessential pivots from a single right-to-left elimination, and
+:func:`classify_columns` reads its classes off that pass.  The section route
+classifies one column by one forward elimination, :func:`column_elimination`:
+the guard and the coordinates of column insertion and deletion, and the
+reference behind :func:`path_from_classification` and :func:`is_primary`.
 
 The section at column j is the submatrix formed by the rows whose pivot is
 at or before j and the columns strictly after j.  Column j is essential when
@@ -74,7 +76,11 @@ def classify_column(x, j):
 
 
 def classify_columns(x):
-    return tuple(classify_column(x, j) for j in range(1, x.n + 1))
+    """Classes of the columns of x from one pivot pass: pivotal at a left
+    pivot, essential where exactly one of the two pivot sets holds it."""
+    inessential = pivot_data(x).inessential
+    return tuple(ColumnClass(j in x.pivots, j not in inessential)
+                 for j in range(1, x.n + 1))
 
 
 class PivotData(NamedTuple):

@@ -1,25 +1,9 @@
-"""Shared builders for the two worked rref families used across tests, the
-path-by-path reference for the weight sums by down count, and the full
-Gauss-Jordan reference for the forward elimination kernel."""
+"""Shared test references: the path-by-path reference for the weight sums
+by down count, and the full Gauss-Jordan reference for the forward
+elimination kernel.  The two worked rref families live in
+qlattice.acceptance, which checks them in c10 and c11."""
 
-from qlattice import QPoly, Rref, enumerate_paths
-
-
-def six_col_family(field, a, b, c, d, e):
-    """Three-pivot rref on six columns; b and d must be units for the
-    documented pivot/essentiality pattern to hold."""
-    rows = ((1, a, 0, b, 0, 0),
-            (0, 0, 1, c, 0, d),
-            (0, 0, 0, 0, 1, e))
-    return Rref(field, 6, rows, (1, 3, 5))
-
-
-def eight_col_family(field, a, b, c, d, e, f):
-    """Primary three-pivot rref on eight columns; a, d, e, f units."""
-    rows = ((1, 0, a, 0, 0, 0, 0, 0),
-            (0, 1, b, c, 0, d, e, e),
-            (0, 0, 0, 0, 1, 0, f, f))
-    return Rref(field, 8, rows, (1, 2, 5))
+from qlattice import QPoly, enumerate_paths
 
 
 def weight_sums_by_enumeration(n):

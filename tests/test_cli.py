@@ -183,13 +183,14 @@ def test_scd_output(capsys):
 
 
 @pytest.mark.parametrize("argv, eliminations", [
-    (("psi",), 11), (("psi", "--json"), 11),
-    (("classify",), 10), (("classify", "--json"), 9)], ids=str)
+    (("psi",), 4), (("psi", "--json"), 4),
+    (("classify",), 3), (("classify", "--json"), 2)], ids=str)
 def test_lattice_commands_eliminate_once_per_column(
         capsys, monkeypatch, tmp_path, argv, eliminations):
     """On the 8-column q=3 golden file: one elimination for the rref and
-    one per column; psi adds the pivot-data pass and the one behind R, and
-    classify adds the pivot-data pass only for the path column of its text
+    one pivot-data pass for the column classes, whatever the number of
+    columns; psi adds its own pivot-data pass and the one behind R, and
+    classify adds a pivot-data pass only for the path column of its text
     form."""
     lattice = json.loads((Path(__file__).parent / "golden_lattice.json")
                          .read_text())
@@ -220,6 +221,19 @@ def test_max_size_flag_and_env(capsys, monkeypatch):
     monkeypatch.delenv("QLATTICE_MAX_SIZE")
     code, _, _ = run(capsys, "census", "--q", "2", "--n", "4")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("census", "--q", "2", "--n", "4"), "F_2^4 has 67 subspaces"),
+    (("sbd", "--q", "3", "--n", "3"), "F_3^3 has 28 subspaces"),
+    (("scd", "--q", "2", "--n", "4"), "F_2^4 has 67 subspaces"),
+    (("involutions", "--n", "5"), "26 involutions on [5]"),
+    (("identity", "ds", "--n", "5"), "26 involutions on [5]")],
+    ids=["census", "sbd", "scd", "involutions", "identity-ds"])
+def test_enumeration_ceilings_are_exact(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--max-size", "10")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}, above the ceiling 10\n"
 
 
 def test_paths_respects_the_ceiling(capsys, monkeypatch):

@@ -3,15 +3,15 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import eight_col_family
 from qlattice import (boolean_block, bracket_chain, bracket_chains,
-                      bracket_cover, classify_columns, del_col, del_set,
+                      bracket_cover, classify_column, del_col, del_set,
                       enumerate_subspaces, full_space, gamma, gamma_inv, gf,
                       ins_col, ins_set, is_primary, left_pivots, mu, mu_inv,
                       path_from_classification, phi, phi_inv, psi, sbd, scd,
                       scd_cover, section_ranks, set_and_subset, span,
                       subspace_count, subspace_leq, zero_subspace)
 from qlattice import decomp
+from qlattice.acceptance import _eight_col_rref
 from qlattice.decomp import _inverse_update_row
 
 F2 = gf(2)
@@ -190,7 +190,7 @@ def test_insertions_match_closed_form(q):
     field = gf(q)
     for a, d, e, f in product(field.units(), repeat=4):
         for b, c in product(field.elements(), repeat=2):
-            x = eight_col_family(field, a, b, c, d, e, f)
+            x = _eight_col_rref(field, a, b, c, d, e, f)
             ins7, ins4, ins47 = expected_insertions(field, a, b, c, d, e, f)
             assert ins_col(x, 7).rows == ins7
             assert ins_col(x, 4).rows == ins4
@@ -325,7 +325,7 @@ def test_bracket_chains_partition_symmetric_saturated():
 
 
 def test_scd_cover_frozen_sequence():
-    m = eight_col_family(F2, 1, 0, 1, 1, 1, 1)
+    m = _eight_col_rref(F2, 1, 0, 1, 1, 1, 1)
     first = scd_cover(m)
     assert first == ins_col(m, 4)
     second = scd_cover(first)
@@ -404,11 +404,11 @@ ALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 
 def primaries(field, n):
     """Primary rrefs with their sorted inessential columns, read off the
-    column classification rather than the pivot sets."""
+    per-column section eliminations rather than the pivot sets."""
     for x in enumerate_subspaces(field, n):
         if is_primary(x):
-            yield x, [j for j, c in enumerate(classify_columns(x), start=1)
-                      if not c.essential]
+            yield x, [j for j in range(1, n + 1)
+                      if not classify_column(x, j).essential]
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS)

@@ -7,6 +7,7 @@ from qlattice import (Mat, TooLargeError, enumerate_subspaces, format_matrix,
                       full_space, gf, is_valid_rref, left_pivots,
                       parse_matrix, right_pivots, rref_left, span,
                       subspace_count, subspace_leq, zero_subspace)
+from qlattice.acceptance import _six_col_rref
 
 F2 = gf(2)
 F3 = gf(3)
@@ -75,12 +76,11 @@ def test_rref_idempotent_and_rowspace_preserving():
 
 
 def test_pivot_sets_on_six_column_family():
-    from conftest import six_col_family
     for q in (2, 3, 4, 5):
         field = gf(q)
         for b, d in product(field.units(), repeat=2):
             for a, c, e in product(field.elements(), repeat=3):
-                x = six_col_family(field, a, b, c, d, e)
+                x = _six_col_rref(field, a, b, c, d, e)
                 assert is_valid_rref(x)
                 assert left_pivots(x) == {1, 3, 5}
                 assert right_pivots(x) == {4, 5, 6}

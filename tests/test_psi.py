@@ -2,11 +2,11 @@ from itertools import product
 
 import pytest
 
-from conftest import eight_col_family, six_col_family
 from qlattice import (classify_column, classify_columns, enumerate_subspaces,
                       full_space, gf, is_primary, path_from_classification,
                       pivot_data, psi, section, section_rank, section_ranks,
                       set_and_subset, span, zero_subspace)
+from qlattice.acceptance import _eight_col_rref, _six_col_rref
 
 F2 = gf(2)
 F3 = gf(3)
@@ -27,7 +27,7 @@ def test_section_ranks_of_eight_column_family():
         field = gf(q)
         for a, d, e, f in product(field.units(), repeat=4):
             for b, c in product(field.elements(), repeat=2):
-                x = eight_col_family(field, a, b, c, d, e, f)
+                x = _eight_col_rref(field, a, b, c, d, e, f)
                 assert section_ranks(x) == (0, 1, 2, 1, 1, 2, 1, 1, 0)
 
 
@@ -36,7 +36,7 @@ def test_classification_of_six_column_family():
         field = gf(q)
         for b, d in product(field.units(), repeat=2):
             for a, c, e in product(field.elements(), repeat=3):
-                x = six_col_family(field, a, b, c, d, e)
+                x = _six_col_rref(field, a, b, c, d, e)
                 cls = classify_columns(x)
                 assert [j for j, c_ in enumerate(cls, 1) if not c_.essential] \
                     == [2, 5]
@@ -80,7 +80,7 @@ def test_psi_on_families_and_edges():
         field = gf(q)
         for b, d in product(field.units(), repeat=2):
             for a, c, e in product(field.elements(), repeat=3):
-                assert psi(six_col_family(field, a, b, c, d, e)).steps \
+                assert psi(_six_col_rref(field, a, b, c, d, e)).steps \
                     == "UHUDHD"
     assert psi(zero_subspace(F3, 4)).steps == "HHHH"
     assert psi(full_space(F3, 4)).steps == "HHHH"
@@ -93,19 +93,19 @@ def test_is_primary():
         field = gf(q)
         for a, d, e, f in product(field.units(), repeat=4):
             for b, c in product(field.elements(), repeat=2):
-                assert is_primary(eight_col_family(field, a, b, c, d, e, f))
+                assert is_primary(_eight_col_rref(field, a, b, c, d, e, f))
     assert not is_primary(full_space(F2, 3))
-    assert not is_primary(six_col_family(F2, 0, 1, 0, 1, 0))
+    assert not is_primary(_six_col_rref(F2, 0, 1, 0, 1, 0))
     assert is_primary(zero_subspace(F2, 3))
 
 
 def test_set_and_subset():
-    x = eight_col_family(F2, 1, 0, 1, 1, 1, 1)
+    x = _eight_col_rref(F2, 1, 0, 1, 1, 1, 1)
     ground, inl = set_and_subset(x)
     assert ground == {4, 7} and inl == frozenset()
     full = full_space(F3, 3)
     assert set_and_subset(full) == ({1, 2, 3}, {1, 2, 3})
-    y = six_col_family(F2, 0, 1, 0, 1, 0)
+    y = _six_col_rref(F2, 0, 1, 0, 1, 0)
     assert set_and_subset(y) == ({2, 5}, {5})
 
 
@@ -117,7 +117,7 @@ def test_both_routes_agree_and_match_heights():
                 assert path_from_classification(x) == p
                 assert p.heights == section_ranks(x)
                 ground, inl = set_and_subset(x)
-                cls = classify_columns(x)
+                cls = [classify_column(x, j) for j in range(1, n + 1)]
                 assert ground == {j for j, c in enumerate(cls, 1)
                                   if not c.essential}
                 assert inl == {j for j, c in enumerate(cls, 1)
@@ -134,7 +134,8 @@ def test_pivot_data_matches_classification(q):
     for n in range(4 if q <= 3 else 3):
         for x in enumerate_subspaces(field, n):
             path, ground, inl = pivot_data(x)
-            classes = classify_columns(x)
+            classes = tuple(classify_column(x, j) for j in range(1, n + 1))
+            assert classify_columns(x) == classes
             assert path == path_from_classification(x) == psi(x)
             assert ground == {j for j, c in enumerate(classes, start=1)
                               if not c.essential}
