@@ -24,9 +24,9 @@ from .matspace import (DEFAULT_MAX_SIZE, Mat, Rref, enumerate_subspaces,
                        subspace_count, subspace_leq, zero_subspace)
 from .motzkin import (MotzkinPath, down_height_product, enumerate_paths,
                       motzkin_number, weight_sums_by_downs)
-from .psi import (ColumnClass, PivotData, classify_column, classify_columns,
-                  is_primary, path_from_classification, pivot_data, psi,
-                  section, section_rank, section_ranks, set_and_subset)
+from .psi import (ColumnClass, classify_column, classify_columns, is_primary,
+                  path_from_classification, psi, section, section_rank,
+                  section_ranks, set_and_subset)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "Involution", "parse_involution", "enumerate_involutions",
     "involution_count", "biane", "biane_fiber", "ColumnClass", "section",
     "section_rank", "section_ranks", "classify_column", "classify_columns",
-    "psi", "path_from_classification", "PivotData", "pivot_data", "is_primary",
+    "psi", "path_from_classification", "is_primary",
     "set_and_subset", "mu", "mu_inv", "phi", "phi_inv", "gamma", "gamma_inv",
     "del_col", "ins_col", "del_set", "ins_set", "BooleanBlock",
     "boolean_block", "sbd", "bracket_cover", "bracket_chain", "bracket_chains",

@@ -23,7 +23,7 @@ from .involution import biane, enumerate_involutions, parse_involution
 from .matspace import (format_matrix, left_pivots, parse_matrix, right_pivots,
                        rref_left)
 from .motzkin import MotzkinPath, enumerate_paths
-from .psi import classify_columns, pivot_data, psi
+from .psi import classify_columns, psi
 
 
 def _max_size(args):
@@ -98,18 +98,20 @@ def _rref_text(x):
 
 def _cmd_psi(args):
     x = _load_rref(args)
-    path, ground, inl = pivot_data(x)
+    path = psi(x)
+    ground = list(path.horizontals)
+    inl = [j for j in ground if j in x.pivots]
     left, right = sorted(left_pivots(x)), sorted(right_pivots(x))
     classes = classify_columns(x)
     if args.json:
         print(json.dumps({
             "path": path.steps, "left_pivots": left, "right_pivots": right,
-            "set": sorted(ground), "subset": sorted(inl),
+            "set": ground, "subset": inl,
             "columns": _columns_payload(classes)}))
     else:
         print("\n".join([f"path    {path.steps}", f"L       {left}",
-                         f"R       {right}", f"set     {sorted(ground)}",
-                         f"subset  {sorted(inl)}",
+                         f"R       {right}", f"set     {ground}",
+                         f"subset  {inl}",
                          *_classification_lines(path, classes)]))
     return 0
 

@@ -16,8 +16,11 @@ the scalar multiple c / (1 + b . c^T); :func:`gamma` and :func:`gamma_inv`
 remain as the reference matrices it is tested against.  A block member
 ins_set(x, S) is built from the member at S - {min S} by one insertion, the
 last step ins_set itself takes, so a block costs one insertion per member
-besides its primary, paid on the first read of its members; both
-decompositions read their blocks from one stream of primary blocks.
+besides its primary, paid on the first read of its members.  A primary is a
+subspace whose dimension equals the down count of its path, and its ground
+set is the H steps of that path; both decompositions read their blocks from
+one stream of primary blocks, which stops at the first dimension above n/2,
+since a primary has dimension |P| <= n/2.
 
 Bracket matching convention: inside the ground set J, an element of I reads
 ")" and an element of J - I reads "("; adjacent pairs are matched
@@ -34,7 +37,7 @@ from itertools import combinations
 
 from .matspace import Mat, Rref, enumerate_subspaces
 from .motzkin import MotzkinPath
-from .psi import column_elimination, pivot_data, set_and_subset
+from .psi import column_elimination, psi, set_and_subset
 
 
 def mu(field, d, x):
@@ -210,11 +213,15 @@ class BooleanBlock:
     every subset of its inessential columns; order-isomorphic to the subset
     lattice of the ground set, with ranks symmetric about n/2.  The members
     are built on first read; the size and the rank window follow from the
-    primary and the ground set alone."""
+    primary and its path alone."""
 
     primary: Rref
     path: MotzkinPath
-    ground: tuple
+
+    @property
+    def ground(self):
+        """The inessential columns: the H steps of the path."""
+        return self.path.horizontals
 
     @cached_property
     def members(self):
@@ -242,27 +249,26 @@ class BooleanBlock:
         return self.primary.dim + len(self.ground)
 
 
-def _block(x, data):
-    """The block of the primary rref x from its pivot data."""
-    return BooleanBlock(x, data.path, tuple(sorted(data.inessential)))
-
-
 def boolean_block(x):
     """The block of the primary rref x, from one pass over its pivot sets;
-    raises ValueError when x has an inessential pivot."""
-    data = pivot_data(x)
-    if data.inessential_pivots:
+    raises ValueError when x is not primary, that is when its dimension
+    differs from the down count of its path."""
+    path = psi(x)
+    if path.down_count != x.dim:
         raise ValueError("boolean_block requires a primary rref")
-    return _block(x, data)
+    return BooleanBlock(x, path)
 
 
 def _primary_blocks(field, n, max_size):
-    """Yield the block of every primary rref of F_q^n in enumeration order,
-    each read from the pivot data that singles out its primary."""
+    """Yield the block of every primary rref of F_q^n in enumeration order.
+    The enumeration runs by dimension, and a primary has dimension
+    |P| <= n/2, so the stream stops at the first larger dimension."""
     for x in enumerate_subspaces(field, n, max_size):
-        data = pivot_data(x)
-        if not data.inessential_pivots:
-            yield _block(x, data)
+        if 2 * x.dim > n:
+            return
+        path = psi(x)
+        if path.down_count == x.dim:
+            yield BooleanBlock(x, path)
 
 
 def sbd(field, n, max_size=None):

@@ -22,7 +22,7 @@ from .involution import biane, enumerate_involutions
 from .matspace import enumerate_subspaces
 from .motzkin import (MotzkinPath, check_path_ceiling, enumerate_paths,
                       weight_sums_by_downs)
-from .psi import pivot_data
+from .psi import psi
 
 _QM1 = QPoly((-1, 1))  # q - 1
 
@@ -110,24 +110,24 @@ def verify_ds(n, max_size=None, k=None):
     along the fibers of the involution-to-path map reproduces each path
     weight exactly."""
     with _within_64_bits("ds", n):
-        fiber_sums = {}
+        fiber_counts = {}  # path word -> involution count by weight
         for d in enumerate_involutions(n, max_size):
             _, _, w = d.weight_stats()
-            steps = biane(d).steps
-            prev = fiber_sums.get(steps, QPoly.zero())
-            fiber_sums[steps] = prev + QPoly.monomial(w)
+            counts = fiber_counts.setdefault(biane(d).steps, [])
+            if len(counts) <= w:
+                counts.extend([0] * (w + 1 - len(counts)))
+            counts[w] += 1
+        by_downs = [QPoly.zero()] * (n // 2 + 1)
         for p in enumerate_paths(n, max_size):
-            got = fiber_sums.get(p.steps, QPoly.zero())
+            got = QPoly(fiber_counts.get(p.steps, ()))
             want = p.weight()
             if got != want:
                 return {"identity": "ds", "n": n, "ok": False,
                         "counterexample": {"path": p.steps,
                                            "fiber_weight_sum": got.to_list(),
                                            "path_weight": want.to_list()}}
-        by_downs = [QPoly.zero()] * (n // 2 + 1)
-        for steps, s in fiber_sums.items():
-            d = steps.count("D")
-            by_downs[d] = by_downs[d] + s
+            d = p.down_count
+            by_downs[d] = by_downs[d] + got
         return _expansion_report("ds", n, by_downs, k)
 
 
@@ -151,10 +151,10 @@ def fiber_census(field, n, max_size=None):
     counts = {}
     rank_counts = [0] * (n + 1)
     for x in enumerate_subspaces(field, n, max_size):
-        path, _, inl_pivots = pivot_data(x)
+        path = psi(x)
         entry = counts.setdefault(path.steps, [0, 0])
         entry[1] += 1
-        if not inl_pivots:
+        if path.down_count == x.dim:
             entry[0] += 1
         rank_counts[x.dim] += 1
     q = field.q

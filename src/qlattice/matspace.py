@@ -6,7 +6,7 @@ any spanning matrix, so equality of subspaces is structural equality of
 subspace is the 0 x n empty rref.
 
 Every row reduction is one forward pass, :func:`_eliminate`; the rref, the
-rank, membership, the lexically first basis and coordinates are read from it.
+rank, the lexically first basis and coordinates are read from it.
 Containment in a subspace needs no elimination: :func:`subspace_leq` reduces
 each row against the rows of the given rref, which are already reduced.
 """
@@ -178,11 +178,6 @@ def right_pivots(x):
     rev = [row[::-1] for row in x.rows]
     return frozenset(x.n + 1 - p
                      for p in _eliminate(x.field, rev, x.n).pivots)
-
-
-def in_rowspace(x, vec):
-    """Whether the vector lies in the row space of the rref x."""
-    return len(_eliminate(x.field, x.rows + (tuple(vec),), x.n).kept) == x.dim
 
 
 def subspace_leq(a, b):

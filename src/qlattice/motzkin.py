@@ -68,6 +68,11 @@ class MotzkinPath:
         """Number of down steps (equals the number of up steps)."""
         return self.steps.count("D")
 
+    @property
+    def horizontals(self):
+        """1-based positions of the H steps, increasing."""
+        return tuple(i for i, ch in enumerate(self.steps, 1) if ch == "H")
+
     def weight(self):
         """The q-weight: product of the step weights."""
         w = QPoly.one()

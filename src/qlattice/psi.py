@@ -5,13 +5,15 @@ column is a left pivot but not a right pivot, D for the converse, H where
 the column is in both pivot sets or neither.  An equivalent description
 classifies each column as pivotal/nonpivotal and essential/inessential via
 the sections of the matrix; both routes are implemented so they can be
-checked against each other.  The pivot-set route runs in one place,
-:func:`pivot_data`, which yields the path, the inessential columns and the
-inessential pivots from a single right-to-left elimination, and
-:func:`classify_columns` reads its classes off that pass.  The section route
-classifies one column by one forward elimination, :func:`column_elimination`:
-the guard and the coordinates of column insertion and deletion, and the
-reference behind :func:`path_from_classification` and :func:`is_primary`.
+checked against each other.  The pivot-set route is one right-to-left
+elimination, :func:`psi`, and everything else is read off its path and the
+left pivots: the inessential columns are the H steps, the inessential pivots
+are the H steps at left pivots, and a subspace is primary exactly when its
+dimension equals the down count of its path (|L| = #U + |L & R| and
+#U = #D).  The section route classifies one column by one forward
+elimination, :func:`column_elimination`: the guard and the coordinates of
+column insertion and deletion, and the reference behind
+:func:`path_from_classification` and :func:`is_primary`.
 
 The section at column j is the submatrix formed by the rows whose pivot is
 at or before j and the columns strictly after j.  Column j is essential when
@@ -77,27 +79,16 @@ def classify_column(x, j):
 
 def classify_columns(x):
     """Classes of the columns of x from one pivot pass: pivotal at a left
-    pivot, essential where exactly one of the two pivot sets holds it."""
-    inessential = pivot_data(x).inessential
+    pivot, inessential at an H step of the path."""
+    inessential = psi(x).horizontals
     return tuple(ColumnClass(j in x.pivots, j not in inessential)
                  for j in range(1, x.n + 1))
 
 
-class PivotData(NamedTuple):
-    path: MotzkinPath
-    inessential: frozenset
-    inessential_pivots: frozenset
-
-
-def pivot_data(x):
-    """(path, inessential columns, inessential pivotal columns) of a
-    subspace from one pass over its pivot sets.
-
-    A column is a left pivot, a right pivot, both or neither.  The step is U
-    where it is a left pivot only, D where it is a right pivot only and H
-    otherwise; the H columns are the inessential ones, and those in both
-    sets are the inessential pivots, empty exactly for primary rrefs.
-    """
+def psi(x):
+    """The Motzkin path of a subspace, from one pass over its pivot sets.
+    The prefix height at j equals the rank of the section at j; pivot sets
+    that spell no path raise RuntimeError."""
     lp = left_pivots(x)
     rp = right_pivots(x)
     steps = []
@@ -111,19 +102,11 @@ def pivot_data(x):
             steps.append("H")
     word = "".join(steps)
     try:
-        path = MotzkinPath(word)
+        return MotzkinPath(word)
     except ValueError as exc:
         raise RuntimeError(
             f"pivot sets of\n{x}\nproduced the non-path word {word!r}: {exc}"
         ) from exc
-    full = frozenset(range(1, x.n + 1))
-    return PivotData(path, full - (lp ^ rp), lp & rp)
-
-
-def psi(x):
-    """The Motzkin path of a subspace, read from its left and right pivot
-    sets.  The prefix height at j equals the rank of the section at j."""
-    return pivot_data(x).path
 
 
 def path_from_classification(x):
@@ -151,7 +134,8 @@ def is_primary(x):
 
 
 def set_and_subset(x):
-    """(inessential columns, inessential pivotal columns), computed from the
-    pivot sets: the complement of their symmetric difference, and their
-    intersection.  The subset part is empty exactly for primary rrefs."""
-    return pivot_data(x)[1:]
+    """(inessential columns, inessential pivotal columns): the H steps of
+    the path and those among them at a left pivot.  The subset part is empty
+    exactly for primary rrefs."""
+    ground = frozenset(psi(x).horizontals)
+    return ground, ground & left_pivots(x)

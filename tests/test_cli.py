@@ -182,16 +182,19 @@ def test_scd_output(capsys):
     assert "chain 1" in out
 
 
-@pytest.mark.parametrize("argv, eliminations", [
-    (("psi",), 4), (("psi", "--json"), 4),
-    (("classify",), 3), (("classify", "--json"), 2)], ids=str)
+ELIMINATION_PINS = [(("psi",), 4), (("psi", "--json"), 4),
+                    (("classify",), 3), (("classify", "--json"), 2)]
+
+
+@pytest.mark.parametrize("argv, eliminations", ELIMINATION_PINS,
+                         ids=[" ".join(argv) for argv, _ in ELIMINATION_PINS])
 def test_lattice_commands_eliminate_once_per_column(
         capsys, monkeypatch, tmp_path, argv, eliminations):
     """On the 8-column q=3 golden file: one elimination for the rref and
-    one pivot-data pass for the column classes, whatever the number of
-    columns; psi adds its own pivot-data pass and the one behind R, and
-    classify adds a pivot-data pass only for the path column of its text
-    form."""
+    one pivot pass (psi) for the column classes, whatever the number of
+    columns; psi adds its own pivot pass and the one behind R, and classify
+    adds a pivot pass only for the path column of its text form.  The ids
+    name the command only, so tightening a pin renames no test."""
     lattice = json.loads((Path(__file__).parent / "golden_lattice.json")
                          .read_text())
     path = tmp_path / "q3-eight"

@@ -111,6 +111,14 @@ def test_down_count_examples():
     assert MotzkinPath("UUDHUDHD").down_count == 3
 
 
+def test_horizontals_examples():
+    assert MotzkinPath("UHUDHD").horizontals == (2, 5)
+    assert MotzkinPath("").horizontals == ()
+    assert MotzkinPath("HHH").horizontals == (1, 2, 3)
+    assert MotzkinPath("UUDD").horizontals == ()
+    assert MotzkinPath("UHDHUUHDD").horizontals == (2, 4, 7)
+
+
 def test_heights_and_step_balance():
     for n in range(7):
         for p in enumerate_paths(n):

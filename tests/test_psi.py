@@ -4,7 +4,7 @@ import pytest
 
 from qlattice import (classify_column, classify_columns, enumerate_subspaces,
                       full_space, gf, is_primary, path_from_classification,
-                      pivot_data, psi, section, section_rank, section_ranks,
+                      psi, section, section_rank, section_ranks,
                       set_and_subset, span, zero_subspace)
 from qlattice.acceptance import _eight_col_rref, _six_col_rref
 
@@ -129,16 +129,19 @@ ALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS)
-def test_pivot_data_matches_classification(q):
+def test_psi_and_set_and_subset_match_classification(q):
+    """The pivot pass against the section route, column by column; a
+    subspace is primary exactly when its dimension equals the down count of
+    its path."""
     field = gf(q)
     for n in range(4 if q <= 3 else 3):
         for x in enumerate_subspaces(field, n):
-            path, ground, inl = pivot_data(x)
+            path = psi(x)
+            ground, inl = set_and_subset(x)
             classes = tuple(classify_column(x, j) for j in range(1, n + 1))
             assert classify_columns(x) == classes
-            assert path == path_from_classification(x) == psi(x)
+            assert path == path_from_classification(x)
             assert ground == {j for j, c in enumerate(classes, start=1)
                               if not c.essential}
             assert inl == {j for j in ground if classes[j - 1].pivotal}
-            assert (ground, inl) == set_and_subset(x)
-            assert (not inl) == is_primary(x)
+            assert is_primary(x) == (path.down_count == x.dim) == (not inl)
