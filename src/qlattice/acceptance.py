@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 from .algebra import QPoly, gf
@@ -44,7 +45,7 @@ class CheckResult:
         return f"{mark} [{self.key}] {self.description}{stamp}{msg}"
 
 
-def _c01_path_expansion():
+def _c01_path_expansion(run):
     for n in range(9):
         report = verify_fs(n)
         if not report["ok"]:
@@ -60,7 +61,7 @@ def _c01_path_expansion():
     return True, "n <= 8, plus the printed n=5 coefficients"
 
 
-def _c02_involution_expansion():
+def _c02_involution_expansion(run):
     for n in range(9):
         report = verify_ds(n)
         if not report["ok"]:
@@ -68,7 +69,7 @@ def _c02_involution_expansion():
     return True, "n <= 8 (764 involutions at n=8), fiber sums included"
 
 
-def _c03_count_recurrence():
+def _c03_count_recurrence(run):
     if not goldman_rota_check(10):
         return False, "symbolic recurrence failed"
     expected = [1, 2, 5, 16, 67, 374, 2825, 29212, 417199]
@@ -102,7 +103,7 @@ def _scan_path_structure():
             (routes_ok, routes_detail or note))
 
 
-def _c06_primary_counts():
+def _c06_primary_counts(run):
     spot = None
     for q in (2, 3):
         field = gf(q)
@@ -120,7 +121,7 @@ def _c06_primary_counts():
     return True, "q in {2,3}, n <= 6; spot value UHUDHD -> 24"
 
 
-def _c07_boolean_decomposition():
+def _c07_boolean_decomposition(run):
     for q, nmax in ((2, 6), (3, 5)):
         field = gf(q)
         for n in range(nmax + 1):
@@ -169,7 +170,7 @@ def _independence_profile(field, rows, width):
     return out
 
 
-def _c08_insert_delete_laws():
+def _c08_insert_delete_laws(run):
     for q in (2, 3):
         field = gf(q)
         for n in range(6):
@@ -223,7 +224,7 @@ def _c08_insert_delete_laws():
     return True, "q in {2,3}, n <= 5: every legal move on every rref"
 
 
-def _c09_pairing_bijection(seed=0):
+def _c09_pairing_bijection(run):
     for q in (2, 3, 4, 5):
         field = gf(q)
         for n in range(5):
@@ -240,7 +241,7 @@ def _c09_pairing_bijection(seed=0):
                     return False, f"roundtrip fails at q={q} vec={vec}"
             if len(images) != q**n:
                 return False, f"not a bijection at q={q} n={n}"
-    rng = random.Random(seed)
+    rng = random.Random(run.seed)
     for q in (7, 8, 9):
         field = gf(q)
         for _ in range(200):
@@ -250,7 +251,7 @@ def _c09_pairing_bijection(seed=0):
     return True, "exhaustive q in {2,3,4,5}, n <= 4; seeded spot checks"
 
 
-def _c10_chain_decomposition():
+def _c10_chain_decomposition(run):
     for q, nmax in ((2, 6), (3, 4)):
         field = gf(q)
         for n in range(nmax + 1):
@@ -333,7 +334,7 @@ def _expected_insertions(field, a, b, c, d, e, f):
     return ins7, ins4, ins47
 
 
-def _c11_worked_examples():
+def _c11_worked_examples(run):
     for q in (2, 3, 4, 5):
         field = gf(q)
         for b, d in product(field.units(), repeat=2):
@@ -376,22 +377,32 @@ def _c11_worked_examples():
     return True, "families checked over every admissible parameter choice"
 
 
-def _run_c04_c05():
-    (h_ok, h_detail), (r_ok, r_detail) = _scan_path_structure()
-    return [("c04", "every subspace maps to a valid path whose prefix "
-             "heights are the section ranks (q=2 n<=7; q=3 n<=5)",
-             h_ok, h_detail),
-            ("c05", "pivot-set route equals column-classification route "
-             "on the same scan", r_ok, r_detail)]
+class _Run:
+    """What the checks of one run share: the seed of the randomized spot
+    checks and the c04/c05 scan, made when first read and kept once made."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    @cached_property
+    def scan(self):
+        return _scan_path_structure()
 
 
-_SINGLE_CHECKS = {
+#: key -> (description, check); a check takes the run and returns (ok,
+#: detail).  Results come out in this order.
+_CHECKS = {
     "c01": ("q-binomial expansion over Motzkin paths, exact for n <= 8",
             _c01_path_expansion),
     "c02": ("q-binomial expansion over involutions and fiberwise weight "
             "sums, exact for n <= 8", _c02_involution_expansion),
     "c03": ("subspace-count recurrence, symbolic n <= 10 and q=2 values",
             _c03_count_recurrence),
+    "c04": ("every subspace maps to a valid path whose prefix heights are "
+            "the section ranks (q=2 n<=7; q=3 n<=5)",
+            lambda run: run.scan[0]),
+    "c05": ("pivot-set route equals column-classification route on the "
+            "same scan", lambda run: run.scan[1]),
     "c06": ("primary counts per path match (q-1)^d * weight, q in {2,3}, "
             "n <= 6", _c06_primary_counts),
     "c07": ("Boolean blocks partition the lattice with predicted ranks "
@@ -408,46 +419,30 @@ _SINGLE_CHECKS = {
             "closed-form insertions", _c11_worked_examples),
 }
 
-ALL_KEYS = ("c01", "c02", "c03", "c04", "c05", "c06",
-            "c07", "c08", "c09", "c10", "c11")
+ALL_KEYS = tuple(_CHECKS)
 
 
 def run_acceptance(keys=None, seed=0):
-    """Run the battery (or the selected checks) and return the results.
+    """Run the battery (or the selected checks, each once) and return the
+    results in key order.
 
     A check that raises is reported as a failure rather than aborting the
     battery.
     """
     wanted = tuple(keys) if keys else ALL_KEYS
-    unknown = [k for k in wanted if k not in ALL_KEYS]
+    unknown = [k for k in wanted if k not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown check keys: {unknown}")
+    run = _Run(seed)
     results = []
-    if "c04" in wanted or "c05" in wanted:
-        start = time.perf_counter()
-        try:
-            pair = _run_c04_c05()
-        except Exception as exc:  # surfaced as a failed check
-            pair = [(k, d, False, f"raised {exc!r}")
-                    for k, d in (("c04", "path validity and height/rank scan"),
-                                 ("c05", "route comparison scan"))]
-        elapsed = time.perf_counter() - start
-        for key, desc, ok, detail in pair:
-            if key in wanted:
-                results.append(CheckResult(key, desc, ok, detail, elapsed / 2))
-    for key in wanted:
-        if key in ("c04", "c05"):
+    for key, (desc, check) in _CHECKS.items():
+        if key not in wanted:
             continue
-        desc, fn = _SINGLE_CHECKS[key]
         start = time.perf_counter()
         try:
-            if key == "c09":
-                ok, detail = fn(seed=seed)
-            else:
-                ok, detail = fn()
-        except Exception as exc:
+            ok, detail = check(run)
+        except Exception as exc:  # surfaced as a failed check
             ok, detail = False, f"raised {exc!r}"
         results.append(CheckResult(key, desc, ok, detail,
                                    time.perf_counter() - start))
-    results.sort(key=lambda r: r.key)
     return results

@@ -4,8 +4,9 @@ Exit codes: 0 on success (or a verified identity), 1 when a verification
 fails or a census invariant is violated, 2 on usage or input errors (a
 negative --n among them).  A reader that closes stdout early (``| head``)
 ends the command quietly with exit 1.  Every command takes --json; census
-also takes --csv.  The enumeration ceiling can be overridden by --max-size
-or the QLATTICE_MAX_SIZE environment variable.
+also takes --csv.  The six commands that enumerate (paths, involutions,
+sbd, scd, census, identity) take --max-size, which like QLATTICE_MAX_SIZE
+overrides the enumeration ceiling; identity fs enumerates nothing.
 """
 
 from __future__ import annotations
@@ -171,8 +172,8 @@ def _cmd_cover(args):
 
 
 def _cmd_identity(args):
-    report = (verify_fs if args.which == "fs" else verify_ds)(
-        args.n, _max_size(args), k=args.k)
+    report = (verify_fs(args.n, k=args.k) if args.which == "fs"
+              else verify_ds(args.n, _max_size(args), k=args.k))
     if args.json:
         print(json.dumps(report))
     else:
@@ -237,14 +238,14 @@ def build_parser():
     def common(p, q=False, n=False, matrix=False):
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON")
-        p.add_argument("--max-size", type=int, default=None,
-                       help="enumeration ceiling override")
         if q:
             p.add_argument("--q", type=int, default=None if matrix else 2,
                            help="field cardinality (prime power)")
         if n:
             p.add_argument("--n", type=int, required=True,
                            help="ambient dimension / word length")
+            p.add_argument("--max-size", type=int, default=None,
+                           help="enumeration ceiling override")
         if matrix:
             p.add_argument("--matrix", required=True,
                            help="matrix file: 'q n k' header then k rows")

@@ -13,7 +13,6 @@ each row against the rows of the given rref, which are already reduced.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
@@ -265,6 +264,8 @@ def parse_matrix(text):
         raise ValueError(f"bad matrix header {lines[0]!r}; expected 'q n k'")
     q, n, k = (int(tok) for tok in head)
     field = gf(q)
+    if n < 0:
+        raise ValueError(f"bad matrix header {lines[0]!r}; n must be >= 0")
     if len(lines) - 1 != k:
         raise ValueError(f"expected {k} rows, found {len(lines) - 1}")
     rows = []
@@ -300,8 +301,3 @@ def express_in_rows(field, basis_rows, target, n):
     s = len(basis_rows)
     e = _eliminate(field, tuple(basis_rows) + (tuple(target),), n)
     return None if s in e.kept else e.coefficients(s)
-
-
-def pivot_count_upto(x, j):
-    """Number of pivot columns of x that are <= j."""
-    return bisect_right(x.pivots, j)

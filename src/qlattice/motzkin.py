@@ -5,7 +5,8 @@ axis and ends at 0.  The weight multiplies q^j for a horizontal step at
 height j and q^j + ... + q^(2j) for a down step landing at height j; up
 steps weigh 1.  At q = 1 a down step therefore weighs its starting height.
 The weights summed over all paths with a given number of down steps come
-from a transfer over (height, downs) that lists no path.
+from a transfer over (height, downs) that lists no path, so only
+:func:`enumerate_paths` is bounded by the enumeration ceiling.
 """
 
 from __future__ import annotations
@@ -82,16 +83,11 @@ class MotzkinPath:
         return w
 
 
-def check_path_ceiling(n, max_size=None):
-    """Raise TooLargeError when the paths of length n outnumber the ceiling
-    (default DEFAULT_MAX_SIZE)."""
+def enumerate_paths(n, max_size=None):
+    """Yield every path of length n once, lexicographic with D < H < U;
+    TooLargeError when they outnumber max_size (default DEFAULT_MAX_SIZE)."""
     total = motzkin_number(n)
     _check_ceiling(total, max_size, f"{total} paths of length {n}")
-
-
-def enumerate_paths(n, max_size=None):
-    """Yield every path of length n once, lexicographic with D < H < U."""
-    check_path_ceiling(n, max_size)
     buf = []
 
     def rec(i, h):

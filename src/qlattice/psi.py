@@ -24,21 +24,21 @@ that section; the span of the empty set is {0}.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
-from .matspace import (Mat, _eliminate, left_pivots, pivot_count_upto,
-                       rank_of, right_pivots)
+from .matspace import Mat, _eliminate, left_pivots, rank_of, right_pivots
 from .motzkin import MotzkinPath
 
 
 def section(x, j):
     """The section of the rref x at column j, 0 <= j <= n."""
-    m = pivot_count_upto(x, j)
+    m = bisect_right(x.pivots, j)  # pivots at or before j
     return Mat(x.field, x.n - j, tuple(row[j:] for row in x.rows[:m]))
 
 
 def section_rank(x, j):
-    m = pivot_count_upto(x, j)
+    m = bisect_right(x.pivots, j)
     return rank_of(x.field, [row[j:] for row in x.rows[:m]], x.n - j)
 
 
@@ -62,7 +62,7 @@ def column_elimination(x, j):
     """
     if not 1 <= j <= x.n:
         raise ValueError(f"column {j} outside [1, {x.n}]")
-    m = pivot_count_upto(x, j)
+    m = bisect_right(x.pivots, j)
     w = x.n - j
     if m and x.pivots[m - 1] == j:
         e = _eliminate(x.field, [row[j:] for row in x.rows[:m]], w)

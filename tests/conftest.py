@@ -1,9 +1,19 @@
 """Shared test references: the path-by-path reference for the weight sums
-by down count, and the full Gauss-Jordan reference for the forward
-elimination kernel.  The two worked rref families live in
+by down count, the full Gauss-Jordan reference for the forward elimination
+kernel, and a seeded uniform sampler of subspaces with the Hypothesis
+strategy built on it.  The two worked rref families live in
 qlattice.acceptance, which checks them in c10 and c11."""
 
-from qlattice import QPoly, enumerate_paths
+import random
+from functools import lru_cache
+from itertools import combinations
+
+from hypothesis import strategies as st
+
+from qlattice import QPoly, Rref, enumerate_paths, gf
+
+#: Every field the library supports.
+ALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 
 
 def weight_sums_by_enumeration(n):
@@ -50,3 +60,49 @@ def gauss_jordan(field, rows, n):
         if rank == k:
             break
     return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+
+
+def _weighted(rng, items, weights):
+    """items[i] with probability weights[i] / sum(weights), exactly."""
+    r = rng.randrange(sum(weights))
+    for item, w in zip(items, weights):
+        if r < w:
+            return item
+        r -= w
+    raise AssertionError("unreachable")
+
+
+@lru_cache(maxsize=None)
+def _pivot_sets(q, n, k):
+    """The k-subsets of [n], each with weight q^(free entries): the
+    nonpivot columns right of each pivot.  The weights sum to [n k]_q."""
+    sets = tuple(combinations(range(1, n + 1), k))
+    return sets, tuple(q ** sum(n - p - (k - i) for i, p in enumerate(s, 1))
+                       for s in sets)
+
+
+def sample_subspace(field, n, rng):
+    """A uniformly random subspace of F_q^n drawn from rng: the dimension k
+    with weight [n k]_q, then a pivot set with weight q^(free entries), then
+    each free entry uniformly."""
+    q = field.q
+    gaussian = [sum(_pivot_sets(q, n, k)[1]) for k in range(n + 1)]
+    k = _weighted(rng, range(n + 1), gaussian)
+    pivots = _weighted(rng, *_pivot_sets(q, n, k))
+    els = tuple(field.elements())
+    rows = []
+    for p in pivots:
+        row = [0] * n
+        row[p - 1] = 1
+        for j in range(p + 1, n + 1):
+            if j not in pivots:
+                row[j - 1] = rng.choice(els)
+        rows.append(tuple(row))
+    return Rref(field, n, tuple(rows), pivots)
+
+
+#: Hypothesis strategy: sample_subspace over a field of ALL_FIELDS and
+#: 0 <= n <= 12, from a drawn seed.
+subspaces = st.builds(
+    lambda q, n, seed: sample_subspace(gf(q), n, random.Random(seed)),
+    st.sampled_from(ALL_FIELDS), st.integers(0, 12), st.integers(0, 2**32 - 1))

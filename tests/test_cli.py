@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -83,6 +84,15 @@ def test_psi_q_mismatch_exits_2(tmp_path, capsys):
     assert code == 2 and "disagrees" in err
 
 
+@pytest.mark.parametrize("command", ["psi", "classify", "cover"])
+def test_negative_n_in_matrix_header_exits_2(tmp_path, capsys, command):
+    f = tmp_path / "m.txt"
+    f.write_text("2 -1 0\n")
+    code, out, err = run(capsys, command, "--matrix", str(f))
+    assert code == 2 and out == ""
+    assert err == "error: bad matrix header '2 -1 0'; n must be >= 0\n"
+
+
 def test_cover_golden(tmp_path, capsys):
     f = tmp_path / "span.txt"
     f.write_text("2 3 1\n0 1 1\n")
@@ -139,6 +149,14 @@ def test_identity_overflow_names_the_bound(capsys):
     assert code == 2 and out == ""
     assert err == ("error: identity fs at n=35: polynomial coefficient "
                    "exceeds the 64-bit range [-2^63, 2^63 - 1]\n")
+
+
+def test_identity_fs_has_no_ceiling(capsys, monkeypatch):
+    monkeypatch.setenv("QLATTICE_MAX_SIZE", "10")
+    code, out, err = run(capsys, "identity", "fs", "--n", "34")
+    assert (code, out, err) == (0, "fs n=34: ok\n", "")
+    code, _, err = run(capsys, "identity", "ds", "--n", "5")
+    assert code == 2 and "above the ceiling 10" in err
 
 
 def test_census_csv_frozen(capsys):
@@ -224,6 +242,19 @@ def test_max_size_flag_and_env(capsys, monkeypatch):
     monkeypatch.delenv("QLATTICE_MAX_SIZE")
     code, _, _ = run(capsys, "census", "--q", "2", "--n", "4")
     assert code == 0
+
+
+def test_max_size_only_where_something_is_enumerated():
+    parser = qlattice.cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    offered = {name for name, p in sub.choices.items()
+               if "--max-size" in p._option_string_actions}
+    assert offered == {"paths", "involutions", "sbd", "scd", "census",
+                       "identity"}
+    with pytest.raises(SystemExit) as exc:
+        main(["weight", "UD", "--max-size", "5"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -316,6 +347,11 @@ def test_selftest_subset(capsys):
     assert code == 0
     assert [r["key"] for r in results] == ["c03", "c09"]
     assert all(r["ok"] for r in results)
+
+
+def test_selftest_reports_each_key_once(capsys):
+    code, out, _ = run(capsys, "selftest", "--only", "c03", "c03")
+    assert code == 0 and len(out.splitlines()) == 1
 
 
 def test_selftest_unknown_key(capsys):

@@ -2,7 +2,9 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import subspaces
 from qlattice import (boolean_block, bracket_chain, bracket_chains,
                       bracket_cover, classify_column, del_col, del_set,
                       enumerate_subspaces, full_space, gamma, gamma_inv, gf,
@@ -474,3 +476,30 @@ def test_scd_chains_match_ins_set(q):
                     for x, ground in primaries(field, n)
                     for sets in bracket_chains(ground)]
         assert scd(field, n).chains == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(subspaces)
+def test_insert_delete_round_trips_on_every_field(x):
+    ground, inl = set_and_subset(x)
+    for j in range(1, x.n + 1):
+        if j in inl:
+            assert ins_col(del_col(x, j), j) == x
+        elif j in ground:
+            assert del_col(ins_col(x, j), j) == x
+        else:
+            for move in (ins_col, del_col):
+                with pytest.raises(ValueError):
+                    move(x, j)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(subspaces)
+def test_cover_walk_on_every_field(x):
+    path = psi(x)
+    lo, hi = x, scd_cover(x)
+    while hi is not None:
+        assert hi.dim == lo.dim + 1 and subspace_leq(lo, hi)
+        assert psi(hi) == path
+        lo, hi = hi, scd_cover(hi)
+    assert 2 * lo.dim >= x.n

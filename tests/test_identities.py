@@ -92,8 +92,7 @@ def test_verify_fs_small_and_structure():
                           "counterexample": None}
     assert verify_fs(6, k=3)["ok"]
     assert verify_ds(5, k=2)["ok"]
-    with pytest.raises(TooLargeError):
-        verify_fs(12, max_size=100)
+    assert verify_fs(16)["ok"]
 
 
 def test_verify_fs_matches_the_path_by_path_sum():
@@ -117,9 +116,9 @@ def test_mismatch_is_reported_as_data(monkeypatch, verify):
 
 
 def test_verify_fs_names_the_64_bit_bound():
-    assert verify_fs(34, max_size=10**30)["ok"]
+    assert verify_fs(34)["ok"]
     with pytest.raises(OverflowError) as exc:
-        verify_fs(35, max_size=10**30)
+        verify_fs(35)
     assert str(exc.value) == (
         "identity fs at n=35: polynomial coefficient exceeds the 64-bit "
         "range [-2^63, 2^63 - 1]")

@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from conftest import ALL_FIELDS, _pivot_sets, sample_subspace
 from qlattice import (Mat, TooLargeError, enumerate_subspaces, format_matrix,
                       full_space, gf, is_valid_rref, left_pivots,
-                      parse_matrix, right_pivots, rref_left, span,
-                      subspace_count, subspace_leq, zero_subspace)
+                      parse_matrix, qbinomial, right_pivots, rref_left,
+                      span, subspace_count, subspace_leq, zero_subspace)
 from qlattice.acceptance import _six_col_rref
 
 F2 = gf(2)
@@ -173,6 +175,25 @@ def test_enumeration_order_is_pinned():
 def test_enumeration_guard():
     with pytest.raises(TooLargeError):
         list(enumerate_subspaces(F2, 4, max_size=10))
+
+
+def test_subspace_sampler_is_uniform():
+    """The sampler behind the property tests: its pivot-set weights sum to
+    the Gaussian binomials, and seeded draws reach every subspace of F_2^3
+    and F_3^2 about equally often."""
+    for q in ALL_FIELDS:
+        for n in range(7):
+            for k in range(n + 1):
+                assert sum(_pivot_sets(q, n, k)[1]) == qbinomial(n, k)(q)
+    rng = random.Random(0)
+    for field, n in ((F2, 3), (F3, 2)):
+        total = subspace_count(field.q, n)
+        draws = Counter(sample_subspace(field, n, rng)
+                        for _ in range(200 * total))
+        assert set(draws) == set(enumerate_subspaces(field, n))
+        assert all(140 <= c <= 260 for c in draws.values()), draws
+    big = [sample_subspace(gf(q), 12, rng) for q in ALL_FIELDS]
+    assert all(is_valid_rref(x) and x.n == 12 for x in big)
 
 
 def test_matrix_text_format_roundtrip():

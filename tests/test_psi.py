@@ -1,7 +1,9 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import subspaces
 from qlattice import (classify_column, classify_columns, enumerate_subspaces,
                       full_space, gf, is_primary, path_from_classification,
                       psi, section, section_rank, section_ranks,
@@ -145,3 +147,15 @@ def test_psi_and_set_and_subset_match_classification(q):
                               if not c.essential}
             assert inl == {j for j in ground if classes[j - 1].pivotal}
             assert is_primary(x) == (path.down_count == x.dim) == (not inl)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(subspaces)
+def test_psi_routes_agree_on_every_field(x):
+    assert psi(x) == path_from_classification(x)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(subspaces)
+def test_heights_are_section_ranks_on_every_field(x):
+    assert psi(x).heights == section_ranks(x)
