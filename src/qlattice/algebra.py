@@ -17,9 +17,11 @@ from functools import lru_cache
 
 from .errors import NotPrimePowerError, UnsupportedFieldError
 
-#: Largest field cardinality constructed by default.  A configuration
-#: constant, not a structural limit: pass ``max_q`` to :func:`gf` to raise it.
-DEFAULT_MAX_Q = 9
+#: The supported fields are q in {2,3,4,5,7,8,9}.  Each extension field is
+#: reduced modulo its pinned irreducible, low degree first (x^2+x+1, x^3+x+1,
+#: x^2+1), so every field table and every output is byte-reproducible.
+_IRREDUCIBLE = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1)}
+_MAX_Q = 9
 
 _INT64_MAX = 2**63 - 1
 _INT64_MIN = -(2**63)
@@ -73,30 +75,6 @@ def _poly_mod(a, m, p):
     return a
 
 
-def _find_irreducible(p, e):
-    """First monic irreducible of degree e over F_p, non-leading coefficients
-    scanned in base-p order with the high-degree digit most significant.
-
-    For (p, e) in {(2,2), (2,3), (3,2)} this yields x^2+x+1, x^3+x+1 and
-    x^2+1 respectively.
-    """
-    for t in range(p**e):
-        cand = [(t // p**i) % p for i in range(e)] + [1]
-        if _is_irreducible(cand, p):
-            return tuple(cand)
-    raise RuntimeError(f"no irreducible of degree {e} over F_{p}")  # unreachable
-
-
-def _is_irreducible(poly, p):
-    e = len(poly) - 1
-    for d in range(1, e // 2 + 1):
-        for t in range(p**d):
-            div = [(t // p**i) % p for i in range(d)] + [1]
-            if not _poly_mod(poly, div, p):
-                return False
-    return True
-
-
 class GF:
     """The finite field with q elements, q a prime power.
 
@@ -106,15 +84,15 @@ class GF:
 
     __slots__ = ("q", "p", "e", "irreducible", "_add", "_mul", "_neg", "_inv")
 
-    def __init__(self, q, max_q=DEFAULT_MAX_Q):
+    def __init__(self, q):
         p, e = _factor_prime_power(q)
-        if q > max_q:
+        if q > _MAX_Q:
             raise UnsupportedFieldError(
-                f"q={q} exceeds the supported bound {max_q}")
+                f"q={q} exceeds the supported bound {_MAX_Q}")
         self.q = q
         self.p = p
         self.e = e
-        self.irreducible = () if e == 1 else _find_irreducible(p, e)
+        self.irreducible = _IRREDUCIBLE.get(q, ())
         if e == 1:
             add = [[(a + b) % p for b in range(q)] for a in range(q)]
             mul = [[(a * b) % p for b in range(q)] for a in range(q)]
@@ -177,9 +155,9 @@ class GF:
 
 
 @lru_cache(maxsize=None)
-def gf(q, max_q=DEFAULT_MAX_Q):
+def gf(q):
     """Cached field constructor; gf(q) is gf(q)."""
-    return GF(q, max_q)
+    return GF(q)
 
 
 def _checked(coeffs):
@@ -213,11 +191,9 @@ class QPoly:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, k, coeff=1):
-        """coeff * q^k"""
-        if coeff == 0:
-            return cls()
-        return cls((0,) * k + (coeff,))
+    def monomial(cls, k):
+        """q^k"""
+        return cls((0,) * k + (1,))
 
     @classmethod
     def geometric(cls, lo, hi):
@@ -225,10 +201,6 @@ class QPoly:
         if hi < lo:
             return cls()
         return cls((0,) * lo + (1,) * (hi - lo + 1))
-
-    def degree(self):
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
 
     @staticmethod
     def _coerce(other):
@@ -342,15 +314,4 @@ class QPoly:
             else:
                 parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
-
-
-def qpoly_from_text(text):
-    """Parse the serialized coefficient-list form, e.g. "[0,-1,0,1]"."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"not a coefficient list: {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return QPoly()
-    return QPoly(int(tok) for tok in inner.split(","))
 

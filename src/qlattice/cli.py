@@ -21,10 +21,9 @@ from .algebra import gf
 from .decomp import sbd, scd, scd_cover
 from .identities import fiber_census, verify_ds, verify_fs
 from .involution import biane, enumerate_involutions, parse_involution
-from .matspace import (format_matrix, left_pivots, parse_matrix, right_pivots,
-                       rref_left)
+from .matspace import format_matrix, parse_matrix, rref_left
 from .motzkin import MotzkinPath, enumerate_paths
-from .psi import classify_columns, psi
+from .psi import _column_classes, psi
 
 
 def _max_size(args):
@@ -102,28 +101,30 @@ def _cmd_psi(args):
     path = psi(x)
     ground = list(path.horizontals)
     inl = [j for j in ground if j in x.pivots]
-    left, right = sorted(left_pivots(x)), sorted(right_pivots(x))
-    classes = classify_columns(x)
+    # an H step is in both pivot sets or in neither, a D step in R only
+    right = sorted(inl + [j for j, s in enumerate(path.steps, 1) if s == "D"])
+    classes = _column_classes(x, path)
     if args.json:
         print(json.dumps({
-            "path": path.steps, "left_pivots": left, "right_pivots": right,
-            "set": ground, "subset": inl,
+            "path": path.steps, "left_pivots": list(x.pivots),
+            "right_pivots": right, "set": ground, "subset": inl,
             "columns": _columns_payload(classes)}))
     else:
-        print("\n".join([f"path    {path.steps}", f"L       {left}",
-                         f"R       {right}", f"set     {ground}",
-                         f"subset  {inl}",
+        print("\n".join([f"path    {path.steps}",
+                         f"L       {list(x.pivots)}", f"R       {right}",
+                         f"set     {ground}", f"subset  {inl}",
                          *_classification_lines(path, classes)]))
     return 0
 
 
 def _cmd_classify(args):
     x = _load_rref(args)
-    classes = classify_columns(x)
+    path = psi(x)
+    classes = _column_classes(x, path)
     if args.json:
         print(json.dumps({"columns": _columns_payload(classes)}))
     else:
-        print("\n".join(_classification_lines(psi(x), classes)))
+        print("\n".join(_classification_lines(path, classes)))
     return 0
 
 
@@ -228,8 +229,16 @@ def _cmd_selftest(args):
     return 0 if all(r.ok for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line on stderr and exits 2;
+    the subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qlattice",
         description="Exact combinatorics of the subspace lattice: Motzkin "
                     "paths, Boolean and chain decompositions, q-identities.")

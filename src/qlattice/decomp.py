@@ -12,11 +12,11 @@ Insertion and deletion take their guard, the lexically first basis of the
 section and every coordinate they need from the one forward elimination
 that classifies the column (:func:`qlattice.psi.column_elimination`).
 Insertion needs only the row c (I + b^T c)^-1, which by Sherman-Morrison is
-the scalar multiple c / (1 + b . c^T); :func:`gamma` and :func:`gamma_inv`
-remain as the reference matrices it is tested against.  A block member
-ins_set(x, S) is built from the member at S - {min S} by one insertion, the
-last step ins_set itself takes, so a block costs one insertion per member
-besides its primary, paid on the first read of its members.  A primary is a
+the scalar multiple c / (1 + b . c^T); :func:`gamma_inv` remains as the
+reference matrix it is tested against.  A block member ins_set(x, S) is
+built from the member at S - {min S} by one insertion, the last step ins_set
+itself takes, so a block costs one insertion per member besides its
+primary, paid on the first read of its members.  A primary is a
 subspace whose dimension equals the down count of its path, and its ground
 set is the H steps of that path; both decompositions read their blocks from
 one stream of primary blocks, which stops at the first dimension above n/2,
@@ -84,14 +84,6 @@ def phi_inv(field, c):
         out.append(x)
         dot = field.add(dot, field.mul(x, y))
     return tuple(out)
-
-
-def gamma(field, b, c):
-    """The rank-one update I + b^T c (b, c row vectors of equal length)."""
-    s = len(b)
-    rows = tuple(tuple(field.add(1 if i == t else 0, field.mul(b[i], c[t]))
-                       for t in range(s)) for i in range(s))
-    return Mat(field, s, rows)
 
 
 def gamma_inv(field, b, c):

@@ -9,7 +9,7 @@ class NotPrimePowerError(ValueError):
 
 
 class UnsupportedFieldError(ValueError):
-    """Raised when a field cardinality exceeds the configured bound."""
+    """Raised when a field cardinality exceeds the supported bound."""
 
 
 class TooLargeError(ValueError):

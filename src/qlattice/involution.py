@@ -122,9 +122,9 @@ def biane(d):
     return MotzkinPath("".join(steps))
 
 
-def biane_fiber(p, max_size=None):
+def biane_fiber(p):
     """All involutions mapping onto the path p, by filtering the full
     enumeration.  The count equals the product of down-step heights."""
     n = len(p)
-    return [d for d in enumerate_involutions(n, max_size)
+    return [d for d in enumerate_involutions(n)
             if biane(d).steps == p.steps]

@@ -18,7 +18,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .algebra import GF, gf
-from .errors import DEFAULT_MAX_SIZE, _check_ceiling  # noqa: F401
+from .errors import _check_ceiling
 
 
 @dataclass(frozen=True)

@@ -77,29 +77,27 @@ def classify_column(x, j):
     return column_elimination(x, j)[0]
 
 
+def _column_classes(x, path):
+    """Classes of the columns of x read off its path: pivotal at a left
+    pivot, inessential at an H step."""
+    return tuple(ColumnClass(j in x.pivots, step != "H")
+                 for j, step in enumerate(path.steps, start=1))
+
+
 def classify_columns(x):
-    """Classes of the columns of x from one pivot pass: pivotal at a left
-    pivot, inessential at an H step of the path."""
-    inessential = psi(x).horizontals
-    return tuple(ColumnClass(j in x.pivots, j not in inessential)
-                 for j in range(1, x.n + 1))
+    """Classes of the columns of x from one pivot pass."""
+    return _column_classes(x, psi(x))
 
 
 def psi(x):
     """The Motzkin path of a subspace, from one pass over its pivot sets.
     The prefix height at j equals the rank of the section at j; pivot sets
     that spell no path raise RuntimeError."""
-    lp = left_pivots(x)
-    rp = right_pivots(x)
-    steps = []
-    for j in range(1, x.n + 1):
-        inl, inr = j in lp, j in rp
-        if inl and not inr:
-            steps.append("U")
-        elif inr and not inl:
-            steps.append("D")
-        else:
-            steps.append("H")
+    steps = ["H"] * x.n
+    for j in x.pivots:
+        steps[j - 1] = "U"
+    for j in right_pivots(x):
+        steps[j - 1] = "H" if steps[j - 1] == "U" else "D"
     word = "".join(steps)
     try:
         return MotzkinPath(word)

@@ -1,8 +1,9 @@
 """Shared test references: the path-by-path reference for the weight sums
 by down count, the full Gauss-Jordan reference for the forward elimination
-kernel, and a seeded uniform sampler of subspaces with the Hypothesis
-strategy built on it.  The two worked rref families live in
-qlattice.acceptance, which checks them in c10 and c11."""
+kernel, the rank-one update matrix behind insertion, and a seeded uniform
+sampler of subspaces with the Hypothesis strategy built on it.  The two
+worked rref families live in qlattice.acceptance, which checks them in c10
+and c11."""
 
 import random
 from functools import lru_cache
@@ -10,7 +11,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from qlattice import QPoly, Rref, enumerate_paths, gf
+from qlattice import Mat, QPoly, Rref, enumerate_paths, gf
 
 #: Every field the library supports.
 ALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
@@ -60,6 +61,15 @@ def gauss_jordan(field, rows, n):
         if rank == k:
             break
     return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+
+
+def gamma(field, b, c):
+    """The rank-one update I + b^T c (b, c row vectors of equal length):
+    the matrix that decomp.gamma_inv inverts."""
+    s = len(b)
+    rows = tuple(tuple(field.add(1 if i == t else 0, field.mul(b[i], c[t]))
+                       for t in range(s)) for i in range(s))
+    return Mat(field, s, rows)
 
 
 def _weighted(rng, items, weights):

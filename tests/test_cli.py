@@ -200,8 +200,8 @@ def test_scd_output(capsys):
     assert "chain 1" in out
 
 
-ELIMINATION_PINS = [(("psi",), 4), (("psi", "--json"), 4),
-                    (("classify",), 3), (("classify", "--json"), 2)]
+ELIMINATION_PINS = [(("psi",), 2), (("psi", "--json"), 2),
+                    (("classify",), 2), (("classify", "--json"), 2)]
 
 
 @pytest.mark.parametrize("argv, eliminations", ELIMINATION_PINS,
@@ -209,9 +209,8 @@ ELIMINATION_PINS = [(("psi",), 4), (("psi", "--json"), 4),
 def test_lattice_commands_eliminate_once_per_column(
         capsys, monkeypatch, tmp_path, argv, eliminations):
     """On the 8-column q=3 golden file: one elimination for the rref and
-    one pivot pass (psi) for the column classes, whatever the number of
-    columns; psi adds its own pivot pass and the one behind R, and classify
-    adds a pivot pass only for the path column of its text form.  The ids
+    one pivot pass (psi), whatever the number of columns; the path, both
+    pivot sets and the column classes are all read off that pass.  The ids
     name the command only, so tightening a pin renames no test."""
     lattice = json.loads((Path(__file__).parent / "golden_lattice.json")
                          .read_text())
@@ -331,6 +330,27 @@ def test_unknown_flag_is_an_error():
     with pytest.raises(SystemExit) as exc:
         main(["paths", "--n", "3", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("weight", "UD", "--max-size", "5"),  # an option the command lacks
+    ("bogus",),                           # an unknown subcommand
+    ("sbd", "--q", "x", "--n", "3"),      # a value of the wrong type
+    ("paths",),                           # a missing required option
+])
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sbd", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith("usage: qlattice sbd")
 
 
 def test_missing_file_exits_2(capsys):

@@ -4,10 +4,10 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 
-from conftest import subspaces
+from conftest import gamma, subspaces
 from qlattice import (boolean_block, bracket_chain, bracket_chains,
                       bracket_cover, classify_column, del_col, del_set,
-                      enumerate_subspaces, full_space, gamma, gamma_inv, gf,
+                      enumerate_subspaces, full_space, gamma_inv, gf,
                       ins_col, ins_set, is_primary, left_pivots, mu, mu_inv,
                       path_from_classification, phi, phi_inv, psi, sbd, scd,
                       scd_cover, section_ranks, set_and_subset, span,
@@ -369,6 +369,17 @@ def test_scd_partition_symmetric_saturated_small():
                     assert cur == expected
                 assert scd_cover(chain[-1]) is None
             assert len(seen) == subspace_count(field.q, n)
+
+
+@pytest.mark.parametrize("q", (4, 5, 7, 8, 9))
+def test_scd_cover_follows_every_chain(q):
+    """scd_cover steps along every chain of scd(F_q^4) and returns None at
+    its top.  n = 4 is the smallest size at which one insertion in place of
+    the delete-and-reinsert move leaves the chains on these fields."""
+    for chain in scd(gf(q), 4).chains:
+        for lo, hi in zip(chain, chain[1:]):
+            assert scd_cover(lo) == hi
+        assert scd_cover(chain[-1]) is None
 
 
 @pytest.mark.parametrize("q", (4, 5))

@@ -1,11 +1,16 @@
 """The path and involution layers never reach into the subspace lattice:
 algebra, errors, motzkin and involution import none of matspace, psi and
-decomp, so the expansion identities run without a lattice call."""
+decomp, so the expansion identities run without a lattice call.  The public
+surface is exactly ``qlattice.__all__``: every listed name resolves, and
+every public name the package binds is listed."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import qlattice
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qlattice"
 LATTICE = {"matspace", "psi", "decomp"}
@@ -41,3 +46,15 @@ def test_path_layers_import_no_lattice_module(module):
 def test_the_scan_sees_lattice_imports():
     assert {"matspace", "psi", "motzkin"} <= imported_modules(
         SRC / "decomp.py")
+
+
+def test_every_export_resolves():
+    assert [name for name in qlattice.__all__
+            if not hasattr(qlattice, name)] == []
+
+
+def test_every_public_name_is_exported():
+    public = {name for name, value in vars(qlattice).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public - set(qlattice.__all__) == set()
