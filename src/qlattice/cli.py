@@ -4,9 +4,11 @@ Exit codes: 0 on success (or a verified identity), 1 when a verification
 fails or a census invariant is violated, 2 on usage or input errors (a
 negative --n among them).  A reader that closes stdout early (``| head``)
 ends the command quietly with exit 1.  Every command takes --json; census
-also takes --csv.  The six commands that enumerate (paths, involutions,
-sbd, scd, census, identity) take --max-size, which like QLATTICE_MAX_SIZE
-overrides the enumeration ceiling; identity fs enumerates nothing.
+also takes --csv, and with --json reports a violated invariant as the object
+{"ok": false, "counterexample": ...} on stdout as well.  The six commands
+that enumerate (paths, involutions, sbd, scd, census, identity) take
+--max-size, which like QLATTICE_MAX_SIZE overrides the enumeration ceiling;
+identity fs enumerates nothing.
 """
 
 from __future__ import annotations
@@ -191,6 +193,8 @@ def _cmd_census(args):
     try:
         rows = fiber_census(field, args.n, _max_size(args))
     except RuntimeError as exc:
+        if args.json:
+            print(json.dumps({"ok": False, "counterexample": str(exc)}))
         print(f"error: census invariant violated: {exc}", file=sys.stderr)
         return 1
     if args.json:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import re
 
 from .errors import _check_ceiling
-from .motzkin import MotzkinPath
+from .motzkin import MotzkinPath, down_height_product
 
 _CYCLE_RE = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]")
 
@@ -123,8 +123,19 @@ def biane(d):
 
 
 def biane_fiber(p):
-    """All involutions mapping onto the path p, by filtering the full
-    enumeration.  The count equals the product of down-step heights."""
-    n = len(p)
-    return [d for d in enumerate_involutions(n)
-            if biane(d).steps == p.steps]
+    """All involutions mapping onto the path p, built along its steps: a U
+    opens a 2-cycle, an H is a fixed point, and a D closes each still-open U
+    in turn.  Sorted by cycles, which is the order of
+    :func:`enumerate_involutions`.  The count is the product of down-step
+    heights, held to the size ceiling."""
+    total = down_height_product(p)
+    _check_ceiling(total, None, f"{total} involutions over {p}")
+    partial = [((), ())]  # (closed 2-cycles, open initial points)
+    for j, step in enumerate(p.steps, 1):
+        if step == "U":
+            partial = [(c, o + (j,)) for c, o in partial]
+        elif step == "D":
+            partial = [(c + ((i, j),), o[:t] + o[t + 1:])
+                       for c, o in partial for t, i in enumerate(o)]
+    return sorted((Involution(len(p), c) for c, _ in partial),
+                  key=lambda d: d.cycles)

@@ -9,6 +9,11 @@ Every row reduction is one forward pass, :func:`_eliminate`; the rref, the
 rank, the lexically first basis and coordinates are read from it.
 Containment in a subspace needs no elimination: :func:`subspace_leq` reduces
 each row against the rows of the given rref, which are already reduced.
+
+The subspaces with a fixed pivot set form one cell, and each row of a cell
+varies on its own, so :func:`enumerate_subspaces` lists a cell as the product
+of its rows' alphabets.  The order is dimension, then pivot set, then rows
+lexicographic.
 """
 
 from __future__ import annotations
@@ -214,26 +219,22 @@ def subspace_count(q, n):
 def enumerate_subspaces(field, n, max_size=None):
     """Yield every subspace of F_q^n exactly once.
 
-    Order is fixed: dimension ascending, then pivot set lexicographic, then
-    the free entries running through an odometer (row-major positions, last
-    position fastest).
+    The subspaces with pivot set L form one cell, the product of its rows'
+    alphabets: row i reads (1,) at its pivot, (0,) before it and at the other
+    pivots, and every element of F_q at each free column after it.  Order is
+    fixed: dimension ascending, then pivot set lexicographic, then the rows
+    lexicographic (last row fastest, and within a row the last free column).
     """
     total = subspace_count(field.q, n)
     _check_ceiling(total, max_size, f"F_{field.q}^{n} has {total} subspaces")
     els = tuple(field.elements())
     for k in range(n + 1):
         for pivots in combinations(range(1, n + 1), k):
-            pivset = set(pivots)
-            free = [(i, j) for i in range(k)
-                    for j in range(pivots[i], n)
-                    if j + 1 not in pivset]
-            base = [[1 if j + 1 == pivots[i] else 0 for j in range(n)]
-                    for i in range(k)]
-            for values in product(els, repeat=len(free)):
-                rows = [list(r) for r in base]
-                for (i, j), v in zip(free, values):
-                    rows[i][j] = v
-                yield Rref(field, n, tuple(tuple(r) for r in rows), pivots)
+            row_choices = [product(*(
+                (1,) if j == p else (0,) if j < p or j in pivots else els
+                for j in range(1, n + 1))) for p in pivots]
+            for rows in product(*row_choices):
+                yield Rref(field, n, rows, pivots)
 
 
 def is_valid_rref(x):

@@ -298,6 +298,12 @@ def test_census_invariant_violation_exits_1(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err == ("error: census invariant violated: "
                    "path UD: 3 primaries, predicted 2\n")
+    code, out, err = run(capsys, "census", "--q", "3", "--n", "2", "--json")
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "counterexample":
+                               "path UD: 3 primaries, predicted 2"}
+    assert err == ("error: census invariant violated: "
+                   "path UD: 3 primaries, predicted 2\n")
 
 
 class ClosedPipe:

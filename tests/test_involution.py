@@ -84,12 +84,25 @@ def test_fiber_frozen_examples():
         MotzkinPath("UHD").weight()
 
 
+def test_fiber_is_built_past_the_involution_ceiling():
+    # I(13) = 568,504 involutions exceed the default ceiling; the fiber has one
+    assert biane_fiber(MotzkinPath("UD" + "H" * 11)) == \
+        [Involution(13, ((1, 2),))]
+    with pytest.raises(TooLargeError, match="3628800 involutions over"):
+        biane_fiber(MotzkinPath("U" * 10 + "D" * 10))
+
+
 def test_fibers_partition_and_match_height_products():
+    """Each fiber is the enumeration filtered by path, in the same order."""
     from qlattice import enumerate_paths
-    for n in range(7):
+    for n in range(9):
+        by_path = {}
+        for d in enumerate_involutions(n):
+            by_path.setdefault(biane(d), []).append(d)
         total = 0
         for p in enumerate_paths(n):
             fiber = biane_fiber(p)
+            assert fiber == by_path[p]
             total += len(fiber)
             assert len(fiber) == down_height_product(p)
         assert total == involution_count(n)

@@ -170,6 +170,12 @@ def test_enumeration_order_is_pinned():
         ((1, 0),), ((1, 1),), ((0, 1),),
         ((1, 0), (0, 1)),
     ]
+    # dimension, then pivot set, then rows lexicographic, on every field
+    for q in ALL_FIELDS:
+        for n in range({2: 6, 3: 5}.get(q, 4)):
+            got = list(enumerate_subspaces(gf(q), n))
+            assert got == sorted(got, key=lambda x: (x.dim, x.pivots, x.rows))
+            assert len(set(got)) == len(got) == subspace_count(q, n)
 
 
 def test_enumeration_guard():
