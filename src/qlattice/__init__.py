@@ -27,7 +27,7 @@ from .motzkin import (MotzkinPath, down_height_product, enumerate_paths,
                       motzkin_number, weight_sums_by_downs)
 from .psi import (ColumnClass, classify_column, classify_columns, is_primary,
                   path_from_classification, psi, section, section_rank,
-                  section_ranks, set_and_subset)
+                  section_ranks, set_and_subset, subspaces_with_paths)
 
 __version__ = "0.1.0"
 
@@ -41,10 +41,11 @@ __all__ = [
     "Involution", "parse_involution", "enumerate_involutions",
     "involution_count", "biane", "biane_fiber", "ColumnClass", "section",
     "section_rank", "section_ranks", "classify_column", "classify_columns",
-    "psi", "path_from_classification", "is_primary", "set_and_subset", "mu",
-    "mu_inv", "phi", "phi_inv", "gamma_inv", "del_col", "ins_col", "del_set",
-    "ins_set", "BooleanBlock", "boolean_block", "sbd", "bracket_cover",
-    "bracket_chain", "bracket_chains", "scd_cover", "ChainDecomposition",
-    "scd", "qbinomial", "galois", "goldman_rota_check", "verify_fs",
-    "verify_ds", "CensusRow", "fiber_census",
+    "psi", "path_from_classification", "is_primary", "set_and_subset",
+    "subspaces_with_paths", "mu", "mu_inv", "phi", "phi_inv", "gamma_inv",
+    "del_col", "ins_col", "del_set", "ins_set", "BooleanBlock",
+    "boolean_block", "sbd", "bracket_cover", "bracket_chain", "bracket_chains",
+    "scd_cover", "ChainDecomposition", "scd", "qbinomial", "galois",
+    "goldman_rota_check", "verify_fs", "verify_ds", "CensusRow",
+    "fiber_census",
 ]

@@ -17,10 +17,13 @@ reference matrix it is tested against.  A block member ins_set(x, S) is
 built from the member at S - {min S} by one insertion, the last step ins_set
 itself takes, so a block costs one insertion per member besides its
 primary, paid on the first read of its members.  A primary is a
-subspace whose dimension equals the down count of its path, and its ground
-set is the H steps of that path; both decompositions read their blocks from
-one stream of primary blocks, which stops at the first dimension above n/2,
-since a primary has dimension |P| <= n/2.
+subspace whose dimension equals the down count of its path, that is one
+with no column in L & R, and its ground set is the H steps of that path.
+Both decompositions read their blocks from one stream, the walk
+:func:`qlattice.psi.subspaces_with_paths` with the non-primaries pruned: a
+row whose right pivot lands in L is skipped with its subtree, and the walk
+stops above dimension n/2, since a primary has dimension |P| <= n/2.  Each
+block takes its path from the walk, which builds one MotzkinPath per word.
 
 Bracket matching convention: inside the ground set J, an element of I reads
 ")" and an element of J - I reads "("; adjacent pairs are matched
@@ -35,9 +38,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .matspace import Mat, Rref, enumerate_subspaces
+from .matspace import Mat, Rref, is_valid_rref
 from .motzkin import MotzkinPath
-from .psi import column_elimination, psi, set_and_subset
+from .psi import column_elimination, psi, set_and_subset, subspaces_with_paths
 
 
 def mu(field, d, x):
@@ -243,8 +246,10 @@ class BooleanBlock:
 
 def boolean_block(x):
     """The block of the primary rref x, from one pass over its pivot sets;
-    raises ValueError when x is not primary, that is when its dimension
-    differs from the down count of its path."""
+    raises ValueError when x is not a valid rref or not primary, that is
+    when its dimension differs from the down count of its path."""
+    if not is_valid_rref(x):
+        raise ValueError("boolean_block requires a valid rref")
     path = psi(x)
     if path.down_count != x.dim:
         raise ValueError("boolean_block requires a primary rref")
@@ -252,15 +257,10 @@ def boolean_block(x):
 
 
 def _primary_blocks(field, n, max_size):
-    """Yield the block of every primary rref of F_q^n in enumeration order.
-    The enumeration runs by dimension, and a primary has dimension
-    |P| <= n/2, so the stream stops at the first larger dimension."""
-    for x in enumerate_subspaces(field, n, max_size):
-        if 2 * x.dim > n:
-            return
-        path = psi(x)
-        if path.down_count == x.dim:
-            yield BooleanBlock(x, path)
+    """Yield the block of every primary rref of F_q^n in enumeration order,
+    from the walk that prunes the non-primaries."""
+    for x, path in subspaces_with_paths(field, n, max_size, primary_only=True):
+        yield BooleanBlock(x, path)
 
 
 def sbd(field, n, max_size=None):

@@ -7,7 +7,9 @@ coefficient (q-1)^|d|) or, after grouping fibers of the involution-to-path
 map, by Motzkin paths (coefficient (q-1)^|P| w(P,q)).  Everything here is
 exact polynomial arithmetic; reports are plain JSON-shaped dicts with an
 "ok" flag and the first counterexample, and the census raises on any
-violated invariant.
+violated invariant.  The census reads every subspace with its path off the
+full walk :func:`qlattice.psi.subspaces_with_paths`, which runs no pivot
+pass per subspace and builds one MotzkinPath per word.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from math import comb
 
 from .algebra import QPoly
 from .involution import biane, enumerate_involutions
-from .matspace import enumerate_subspaces
 from .motzkin import MotzkinPath, enumerate_paths, weight_sums_by_downs
-from .psi import psi
+from .psi import subspaces_with_paths
 
 _QM1 = QPoly((-1, 1))  # q - 1
 
@@ -150,8 +151,7 @@ def fiber_census(field, n, max_size=None):
     expansion of the rank numbers.  Raises RuntimeError on any violation."""
     counts = {}
     rank_counts = [0] * (n + 1)
-    for x in enumerate_subspaces(field, n, max_size):
-        path = psi(x)
+    for x, path in subspaces_with_paths(field, n, max_size):
         entry = counts.setdefault(path.steps, [0, 0])
         entry[1] += 1
         if path.down_count == x.dim:

@@ -15,6 +15,15 @@ elimination, :func:`column_elimination`: the guard and the coordinates of
 column insertion and deletion, and the reference behind
 :func:`path_from_classification` and :func:`is_primary`.
 
+The bulk route is :func:`subspaces_with_paths`, the walk behind ``sbd``,
+``scd`` and ``census``: it lists the subspaces in enumeration order with
+their paths, carrying the right-to-left elimination of the rows above down
+each pivot cell so every node reduces one row, and it builds one MotzkinPath
+per distinct word.  A row whose right pivot is a left pivot puts a column in
+L & R, so asked for the primaries only it prunes that row's whole subtree.
+:func:`psi` is the route for a single subspace and the reference the
+walk is tested against.
+
 The section at column j is the submatrix formed by the rows whose pivot is
 at or before j and the columns strictly after j.  Column j is essential when
 the data it carries (the column above the diagonal in the nonpivotal case,
@@ -25,9 +34,12 @@ that section; the span of the empty set is {0}.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import combinations, product
 from typing import NamedTuple
 
-from .matspace import Mat, _eliminate, left_pivots, rank_of, right_pivots
+from .errors import _check_ceiling
+from .matspace import (Mat, Rref, _eliminate, left_pivots, rank_of,
+                       right_pivots, subspace_count)
 from .motzkin import MotzkinPath
 
 
@@ -105,6 +117,99 @@ def psi(x):
         raise RuntimeError(
             f"pivot sets of\n{x}\nproduced the non-path word {word!r}: {exc}"
         ) from exc
+
+
+def subspaces_with_paths(field, n, max_size=None, primary_only=False):
+    """Yield (x, psi(x)) for every subspace x of F_q^n, in the order of
+    :func:`qlattice.matspace.enumerate_subspaces` and under its ceiling.
+
+    The rows of a pivot cell are walked depth first over the same per-row
+    choices, and the mirror elimination of rows 1..i-1 is carried down to
+    every choice of row i, so each node reduces one row: scanning from the
+    right, it subtracts the carried row whose right pivot it meets until it
+    meets a column no carried row ends at, its right pivot.  The path is
+    read off the left and the right pivot sets; each distinct word is built
+    into one MotzkinPath.  With ``primary_only`` only the primaries come
+    out, the subspaces with L & R empty: a row whose right pivot is a left
+    pivot is skipped with its whole subtree, and the walk stops above
+    dimension n/2.
+    """
+    total = subspace_count(field.q, n)
+    _check_ceiling(total, max_size, f"F_{field.q}^{n} has {total} subspaces")
+    els = tuple(field.elements())
+    mul, sub, inv = field.mul, field.sub, field.inv
+    paths = {}  # word -> MotzkinPath
+    for k in range(n // 2 + 1 if primary_only else n + 1):
+        for pivots in combinations(range(1, n + 1), k):
+            choices = [list(product(*(
+                (1,) if j == p else (0,) if j < p or j in pivots else els
+                for j in range(1, n + 1)))) for p in pivots]
+            left = sum(1 << (p - 1) for p in pivots)
+            # 0-based right pivot -> (carried row, inverse of its entry there)
+            carried = [None] * n
+            by_right = {}  # right pivot bitmask -> path, within this cell
+
+            def right_pivot(row):
+                """(0-based right pivot, row reduced up to it) of a row
+                against the carried rows."""
+                r, t = row, n - 1
+                while True:
+                    while not r[t]:
+                        t -= 1
+                    hit = carried[t]
+                    if hit is None:
+                        return t, r
+                    prow, pinv = hit
+                    c = r[t] if pinv == 1 else mul(r[t], pinv)
+                    if r is row:
+                        r = list(row)
+                    r[t] = 0
+                    for s in range(t):
+                        if prow[s]:
+                            r[s] = sub(r[s], mul(c, prow[s]))
+
+            def path_of(right):
+                path = by_right.get(right)
+                if path is None:
+                    word = "".join(
+                        "H" if (left >> j & 1) == (right >> j & 1)
+                        else "U" if left >> j & 1 else "D"
+                        for j in range(n))
+                    if word not in paths:
+                        paths[word] = MotzkinPath(word)
+                    path = by_right[right] = paths[word]
+                return path
+
+            def prefixes(i, right):
+                """Set rows i..k-2 of ``head`` to each choice in turn and
+                carry their reductions; yield the right pivot bitmask of
+                rows 0..k-2 once per prefix."""
+                if i == k - 1:
+                    yield right
+                    return
+                for row in choices[i]:
+                    t, r = right_pivot(row)
+                    if primary_only and left >> t & 1:
+                        continue
+                    head[i] = row
+                    carried[t] = (r, inv(r[t]))
+                    yield from prefixes(i + 1, right | 1 << t)
+                    carried[t] = None
+
+            if k == 0:
+                yield Rref(field, n, (), ()), path_of(0)
+                continue
+            # the last row is walked here, so no item passes through the
+            # nested generators
+            head = [None] * (k - 1)
+            for right in prefixes(0, 0):
+                rows = tuple(head)
+                for row in choices[k - 1]:
+                    t, _ = right_pivot(row)
+                    if primary_only and left >> t & 1:
+                        continue
+                    yield (Rref(field, n, rows + (row,), pivots),
+                           path_of(right | 1 << t))
 
 
 def path_from_classification(x):

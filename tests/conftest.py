@@ -1,17 +1,18 @@
 """Shared test references: the path-by-path reference for the weight sums
 by down count, the full Gauss-Jordan reference for the forward elimination
-kernel, the rank-one update matrix behind insertion, and a seeded uniform
-sampler of subspaces with the Hypothesis strategy built on it.  The two
-worked rref families live in qlattice.acceptance, which checks them in c10
-and c11."""
+kernel, the rank-one update matrix behind insertion, the primaries built
+cell by cell from involutions, and a seeded uniform sampler of subspaces
+with the Hypothesis strategy built on it.  The two worked rref families live
+in qlattice.acceptance, which checks them in c10 and c11."""
 
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from qlattice import Mat, QPoly, Rref, enumerate_paths, gf
+from qlattice import (Mat, QPoly, Rref, biane_fiber, enumerate_paths, gf,
+                      rref_left)
 
 #: Every field the library supports.
 ALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
@@ -70,6 +71,35 @@ def gamma(field, b, c):
     rows = tuple(tuple(field.add(1 if i == t else 0, field.mul(b[i], c[t]))
                        for t in range(s)) for i in range(s))
     return Mat(field, s, rows)
+
+
+def primary_cell(field, d):
+    """The primaries paired by the involution d, one per element of a
+    product of row alphabets: the row of a 2-cycle (i, j) has 1 at j, a
+    nonzero entry at i, a free entry strictly between them except at the
+    trailing columns of the 2-cycles nested inside (i, j), and 0 elsewhere.
+    Each element is brought to its rref; no pivot set is read."""
+    n = d.n
+    units, els = tuple(field.units()), tuple(field.elements())
+    alphabets = []
+    for i, j in d.cycles:
+        nested = {l for k, l in d.cycles if i < k and l < j}
+        alphabets.append(product(*(
+            (1,) if c == j else units if c == i
+            else els if i < c < j and c not in nested else (0,)
+            for c in range(1, n + 1))))
+    for rows in product(*alphabets):
+        yield rref_left(Mat(field, n, rows))
+
+
+def primaries_by_cells(field, n):
+    """(primary, path) for every path P of length n and every involution d
+    over P, the cells of the d in enumerate_paths and biane_fiber order: an
+    independent route to the primaries that runs no pivot pass."""
+    for p in enumerate_paths(n):
+        for d in biane_fiber(p):
+            for x in primary_cell(field, d):
+                yield x, p
 
 
 def _weighted(rng, items, weights):

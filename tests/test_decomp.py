@@ -4,15 +4,16 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 
-from conftest import gamma, subspaces
-from qlattice import (boolean_block, bracket_chain, bracket_chains,
-                      bracket_cover, classify_column, del_col, del_set,
-                      enumerate_subspaces, full_space, gamma_inv, gf,
-                      ins_col, ins_set, is_primary, left_pivots, mu, mu_inv,
-                      path_from_classification, phi, phi_inv, psi, sbd, scd,
-                      scd_cover, section_ranks, set_and_subset, span,
-                      subspace_count, subspace_leq, zero_subspace)
-from qlattice import decomp
+from conftest import ALL_FIELDS, gamma, subspaces
+from qlattice import (Rref, TooLargeError, boolean_block, bracket_chain,
+                      bracket_chains, bracket_cover, classify_column, del_col,
+                      del_set, enumerate_subspaces, fiber_census, full_space,
+                      gamma_inv, gf, ins_col, ins_set, is_primary,
+                      left_pivots, mu, mu_inv, path_from_classification, phi,
+                      phi_inv, psi, sbd, scd, scd_cover, section_ranks,
+                      set_and_subset, span, subspace_count, subspace_leq,
+                      zero_subspace)
+from qlattice import decomp, identities
 from qlattice.acceptance import _eight_col_rref
 from qlattice.decomp import _inverse_update_row
 
@@ -259,6 +260,17 @@ def test_boolean_block_frozen_examples():
         boolean_block(full_space(F2, 2))
 
 
+def test_boolean_block_refuses_an_invalid_rref():
+    """A caller's Rref is checked before its block is read: a row not
+    reduced at a later pivot, pivots out of order and an entry outside the
+    field each raise ValueError."""
+    for bad in (Rref(F2, 3, ((1, 1, 0), (0, 1, 1)), (1, 2)),
+                Rref(F2, 3, ((0, 1, 0), (1, 0, 0)), (2, 1)),
+                Rref(F3, 2, ((1, 3),), (1,))):
+        with pytest.raises(ValueError, match="valid rref"):
+            boolean_block(bad)
+
+
 def test_block_sizes_forced_by_path():
     for field, nmax in ((F2, 4), (F3, 3)):
         for n in range(nmax + 1):
@@ -412,9 +424,6 @@ def test_machinery_over_larger_fields(q):
         assert len(seen) == count
 
 
-ALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
-
-
 def primaries(field, n):
     """Primary rrefs with their sorted inessential columns, read off the
     per-column section eliminations rather than the pivot sets."""
@@ -477,6 +486,31 @@ def test_sbd_members_built_on_first_read(q, monkeypatch):
             if not is_primary(x):
                 with pytest.raises(ValueError, match="primary"):
                     boolean_block(x)
+
+
+@pytest.mark.parametrize("bulk", [sbd, scd, fiber_census],
+                         ids=["sbd", "scd", "fiber_census"])
+def test_bulk_commands_hold_the_enumeration_ceiling(bulk):
+    with pytest.raises(TooLargeError) as want:
+        list(enumerate_subspaces(F3, 4, max_size=100))
+    with pytest.raises(TooLargeError) as got:
+        bulk(F3, 4, max_size=100)
+    assert str(got.value) == str(want.value)
+
+
+def test_bulk_commands_run_no_pivot_pass_per_subspace(monkeypatch):
+    """sbd, scd and fiber_census read every path off the walk: neither psi
+    nor enumerate_subspaces runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk should have been used")
+
+    for module in (decomp, identities):
+        for name in ("psi", "enumerate_subspaces"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    total = subspace_count(3, 4)
+    assert sum(blk.size for blk in sbd(F3, 4)) == total
+    assert scd(F3, 4).size == total
+    assert sum(row.fiber_size for row in fiber_census(F3, 4)) == total
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS)

@@ -3,11 +3,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from conftest import subspaces
-from qlattice import (classify_column, classify_columns, enumerate_subspaces,
-                      full_space, gf, is_primary, path_from_classification,
-                      psi, section, section_rank, section_ranks,
-                      set_and_subset, span, zero_subspace)
+from conftest import ALL_FIELDS, primaries_by_cells, subspaces
+from qlattice import (MotzkinPath, classify_column, classify_columns,
+                      enumerate_paths, enumerate_subspaces, full_space, gf,
+                      is_primary, path_from_classification, psi, section,
+                      section_rank, section_ranks, set_and_subset, span,
+                      subspaces_with_paths, zero_subspace)
 from qlattice.acceptance import _eight_col_rref, _six_col_rref
 
 F2 = gf(2)
@@ -127,9 +128,6 @@ def test_both_routes_agree_and_match_heights():
                 assert is_primary(x) == (not inl)
 
 
-ALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
-
-
 @pytest.mark.parametrize("q", ALL_FIELDS)
 def test_psi_and_set_and_subset_match_classification(q):
     """The pivot pass against the section route, column by column; a
@@ -159,3 +157,68 @@ def test_psi_routes_agree_on_every_field(x):
 @given(subspaces)
 def test_heights_are_section_ranks_on_every_field(x):
     assert psi(x).heights == section_ranks(x)
+
+
+#: Largest n of the walk cross-checks per field.
+WALK_N = {2: 6, 3: 4}
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_walk_is_psi_over_the_enumeration(q):
+    """The walk yields (x, psi(x)) in enumeration order, and the pruned walk
+    exactly the primaries: dimension at most n/2 and equal to the down
+    count of the path."""
+    field = gf(q)
+    for n in range(WALK_N.get(q, 3) + 1):
+        expected = [(x, psi(x)) for x in enumerate_subspaces(field, n)]
+        assert list(subspaces_with_paths(field, n)) == expected
+        assert list(subspaces_with_paths(field, n, primary_only=True)) == [
+            (x, p) for x, p in expected
+            if 2 * x.dim <= n and p.down_count == x.dim]
+
+
+def test_walk_edges():
+    empty = zero_subspace(F3, 0)
+    for primary_only in (False, True):
+        assert list(subspaces_with_paths(F3, 0, primary_only=primary_only)) \
+            == [(empty, MotzkinPath(""))]
+    line = full_space(F2, 1)
+    h = MotzkinPath("H")
+    assert list(subspaces_with_paths(F2, 1)) == [(zero_subspace(F2, 1), h),
+                                                 (line, h)]
+    assert list(subspaces_with_paths(F2, 1, primary_only=True)) == [
+        (zero_subspace(F2, 1), h)]
+
+
+def test_walk_builds_one_path_per_word():
+    paths = {}
+    for _, p in subspaces_with_paths(F3, 4):
+        assert paths.setdefault(p.steps, p) is p
+    assert len(paths) == sum(1 for _ in enumerate_paths(4))
+
+
+#: Largest n of the primary-cell cross-checks per field.
+CELL_N = {2: 7, 3: 5, 4: 4, 5: 4}
+
+
+def cell_order(item):
+    x, _ = item
+    return x.dim, x.pivots, x.rows
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_primary_cells_are_the_pruned_walk(q):
+    """The primaries built cell by cell from the involutions over each path,
+    with no pivot pass, are the pruned walk's (primary, path) pairs: equal
+    as sets, each once, and equal in order once sorted by dimension, pivots
+    and rows.  Each path carries (q-1)^|P| w(P,q) of them."""
+    field = gf(q)
+    for n in range(CELL_N.get(q, 3) + 1):
+        cells = list(primaries_by_cells(field, n))
+        walk = list(subspaces_with_paths(field, n, primary_only=True))
+        assert len(set(cells)) == len(cells)
+        assert set(cells) == set(walk)
+        assert sorted(cells, key=cell_order) == walk
+        for p in enumerate_paths(n):
+            assert sum(1 for _, path in cells if path == p) == (
+                (q - 1) ** p.down_count * p.weight()(q))
