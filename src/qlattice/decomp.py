@@ -25,6 +25,12 @@ row whose right pivot lands in L is skipped with its subtree, and the walk
 stops above dimension n/2, since a primary has dimension |P| <= n/2.  Each
 block takes its path from the walk, which builds one MotzkinPath per word.
 
+A single cover step, :func:`scd_cover`, stays inside one block: the
+cover of ins_set(p, I) is ins_set(p, I + {j}), so it is built from the
+primary p by insertions alone, and p and the path are handed on in the
+cover's memo (see :class:`qlattice.matspace.Rref`).  Deletion finds p only
+for a subspace that carries no memo, at the first step of a chain.
+
 Bracket matching convention: inside the ground set J, an element of I reads
 ")" and an element of J - I reads "("; adjacent pairs are matched
 iteratively.  The chain through I varies the unmatched positions, filling
@@ -38,9 +44,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .matspace import Mat, Rref, is_valid_rref
+from .matspace import Mat, Rref, left_pivots
 from .motzkin import MotzkinPath
-from .psi import column_elimination, psi, set_and_subset, subspaces_with_paths
+from .psi import column_elimination, psi, subspaces_with_paths
 
 
 def mu(field, d, x):
@@ -246,10 +252,9 @@ class BooleanBlock:
 
 def boolean_block(x):
     """The block of the primary rref x, from one pass over its pivot sets;
-    raises ValueError when x is not a valid rref or not primary, that is
-    when its dimension differs from the down count of its path."""
-    if not is_valid_rref(x):
-        raise ValueError("boolean_block requires a valid rref")
+    raises ValueError when x is not a valid rref (checked by :func:`psi`)
+    or not primary, that is when its dimension differs from the down count
+    of its path."""
     path = psi(x)
     if path.down_count != x.dim:
         raise ValueError("boolean_block requires a primary rref")
@@ -328,16 +333,27 @@ def scd_cover(x):
     """The subspace covering x in the chain decomposition, or None when x
     tops its chain.
 
-    Reads the pivotal data of x, finds the covering move of its inessential
-    pivot set inside the bracket chains of its inessential columns, and
-    realizes it by deleting the pivotal inessential columns and reinserting
-    them together with the new one.
+    x is ins_set(p, I) for the primary p of its block and its inessential
+    pivot set I, and its path P is the path of p.  The covering move adds
+    the column j that the bracket chains of the ground set (the H steps of
+    P) give for I, and the cover is ins_set(p, I + {j}).  A chain stays in
+    its block, so the cover is returned with p and P in its memo, and the
+    next step up costs |I| + 1 insertions, with no deletion and no psi pass.
+    Only an x without that memo has p found by deleting I from it.
     """
-    ground, inl_pivots = set_and_subset(x)
-    j = bracket_cover(sorted(ground), inl_pivots)
+    path = psi(x)
+    ground = path.horizontals
+    inl_pivots = left_pivots(x).intersection(ground)
+    j = bracket_cover(ground, inl_pivots)
     if j is None:
         return None
-    return ins_set(del_set(x, inl_pivots), sorted(inl_pivots | {j}))
+    p = x.__dict__.get("_primary")
+    if p is None:
+        p = del_set(x, inl_pivots)
+        p.__dict__["_path"] = path
+    y = ins_set(p, inl_pivots | {j})
+    y.__dict__.update(_path=path, _primary=p)
+    return y
 
 
 @dataclass

@@ -44,6 +44,16 @@ class Mat:
 class Rref:
     """A matrix in row reduced echelon form: the canonical name of its row
     space.  ``pivots`` are the 1-based columns carrying the leading ones.
+
+    An Rref is immutable, so what is derived from its value can be kept on
+    it.  Its instance dict holds that memo next to the four fields:
+    ``_path``, its Motzkin path, set by :func:`qlattice.psi.psi`; and
+    ``_primary``, the primary rref of its Boolean block, set by
+    :func:`qlattice.decomp.scd_cover` on each cover it returns (never on a
+    primary itself).  The memo is no field: equality, hashing and ``repr``
+    read the four fields only, so a memoised Rref equals its fresh copy.
+    This is why Rref keeps its instance dict; a ``__slots__`` or NamedTuple
+    rewrite must keep room for the memo.
     """
 
     field: GF
@@ -238,19 +248,26 @@ def enumerate_subspaces(field, n, max_size=None):
 
 
 def is_valid_rref(x):
-    """Structural check of the rref conditions; used by tests."""
-    if list(x.pivots) != sorted(set(x.pivots)):
+    """Structural check of the rref conditions: pivots strictly increasing
+    in [1, n], one row of length n per pivot, entries in [0, q), each row
+    zero before its pivot and every pivot column the unit column of its row.
+    :func:`qlattice.psi.psi` runs it on the first read of a caller's Rref."""
+    pivots = list(x.pivots)
+    n, k = x.n, len(pivots)
+    if pivots != sorted(set(pivots)) or len(x.rows) != k:
         return False
-    if len(x.rows) != len(x.pivots):
+    if pivots and not (1 <= pivots[0] and pivots[-1] <= n):
         return False
-    for i, (row, p) in enumerate(zip(x.rows, x.pivots)):
-        if len(row) != x.n or any(not 0 <= e < x.field.q for e in row):
+    q = x.field.q
+    cols = [p - 1 for p in pivots]
+    unit = [0] * k
+    for i, (row, c) in enumerate(zip(x.rows, cols)):
+        if len(row) != n or n and not (0 <= min(row) and max(row) < q):
             return False
-        if any(row[t] for t in range(p - 1)) or row[p - 1] != 1:
+        unit[i] = 1
+        if any(row[:c]) or [row[t] for t in cols] != unit:
             return False
-        for ii in range(len(x.rows)):
-            if x.rows[ii][p - 1] != (1 if ii == i else 0):
-                return False
+        unit[i] = 0
     return True
 
 

@@ -22,7 +22,9 @@ each pivot cell so every node reduces one row, and it builds one MotzkinPath
 per distinct word.  A row whose right pivot is a left pivot puts a column in
 L & R, so asked for the primaries only it prunes that row's whole subtree.
 :func:`psi` is the route for a single subspace and the reference the
-walk is tested against.
+walk is tested against; it keeps the path it computes on the Rref, so
+:func:`classify_columns` and :func:`set_and_subset` after it run no second
+elimination.
 
 The section at column j is the submatrix formed by the rows whose pivot is
 at or before j and the columns strictly after j.  Column j is essential when
@@ -38,8 +40,8 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .errors import _check_ceiling
-from .matspace import (Mat, Rref, _eliminate, left_pivots, rank_of,
-                       right_pivots, subspace_count)
+from .matspace import (Mat, Rref, _eliminate, is_valid_rref, left_pivots,
+                       rank_of, right_pivots, subspace_count)
 from .motzkin import MotzkinPath
 
 
@@ -103,8 +105,17 @@ def classify_columns(x):
 
 def psi(x):
     """The Motzkin path of a subspace, from one pass over its pivot sets.
-    The prefix height at j equals the rank of the section at j; pivot sets
-    that spell no path raise RuntimeError."""
+    The prefix height at j equals the rank of the section at j.
+
+    The path is a function of the value of x, which is immutable, so it is
+    kept in x's memo (``x.__dict__["_path"]``) and later calls return it.
+    The first call checks x and raises ValueError when it is not a valid
+    rref; pivot sets that spell no path raise RuntimeError."""
+    path = x.__dict__.get("_path")
+    if path is not None:
+        return path
+    if not is_valid_rref(x):
+        raise ValueError("psi requires a valid rref")
     steps = ["H"] * x.n
     for j in x.pivots:
         steps[j - 1] = "U"
@@ -112,11 +123,12 @@ def psi(x):
         steps[j - 1] = "H" if steps[j - 1] == "U" else "D"
     word = "".join(steps)
     try:
-        return MotzkinPath(word)
+        path = x.__dict__["_path"] = MotzkinPath(word)
     except ValueError as exc:
         raise RuntimeError(
             f"pivot sets of\n{x}\nproduced the non-path word {word!r}: {exc}"
         ) from exc
+    return path
 
 
 def subspaces_with_paths(field, n, max_size=None, primary_only=False):

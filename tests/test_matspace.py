@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 
 from conftest import ALL_FIELDS, _pivot_sets, sample_subspace
-from qlattice import (Mat, TooLargeError, enumerate_subspaces, format_matrix,
-                      full_space, gf, is_valid_rref, left_pivots,
-                      parse_matrix, qbinomial, right_pivots, rref_left,
+from qlattice import (Mat, Rref, TooLargeError, enumerate_subspaces,
+                      format_matrix, full_space, gf, is_valid_rref,
+                      left_pivots, parse_matrix, qbinomial, right_pivots, rref_left,
                       span, subspace_count, subspace_leq, zero_subspace)
 from qlattice.acceptance import _six_col_rref
 
@@ -151,6 +151,25 @@ def test_enumeration_distinct_valid_and_zero_dim():
         seen.add(x)
     assert len(seen) == 28
     assert [x.rows for x in enumerate_subspaces(F2, 0)] == [()]
+
+
+def test_is_valid_rref_refuses_each_broken_condition():
+    """Each rref condition broken on its own reads False, never an
+    exception, pivots outside [1, n] included."""
+    good = Rref(F3, 4, ((1, 2, 0, 0), (0, 0, 1, 1)), (1, 3))
+    assert is_valid_rref(good) and is_valid_rref(zero_subspace(F3, 0))
+    for rows, pivots in (
+            (((1, 2, 0, 0), (0, 0, 1, 1)), (3, 1)),      # pivots out of order
+            (((1, 2, 0, 0), (0, 0, 1, 1)), (1, 1)),      # repeated pivot
+            (((1, 2, 0, 0),), (1, 3)),                   # a row missing
+            (((1, 2, 0), (0, 0, 1, 1)), (1, 3)),         # a short row
+            (((1, 3, 0, 0), (0, 0, 1, 1)), (1, 3)),      # entry outside F_3
+            (((1, 2, 0, 0), (0, 0, 2, 1)), (1, 3)),      # pivot entry not 1
+            (((1, 2, 1, 0), (0, 0, 1, 1)), (1, 3)),      # pivot column not unit
+            (((1, 2, 0, 0), (0, 1, 1, 1)), (1, 3)),      # nonzero before pivot
+            (((0, 0, 0, 1),), (5,)),                     # pivot right of n
+            (((0, 0, 0, 1),), (0,))):                    # pivot left of 1
+        assert not is_valid_rref(Rref(F3, 4, rows, pivots)), (rows, pivots)
 
 
 def test_enumeration_distinct_at_full_stated_scale():

@@ -1,0 +1,123 @@
+"""The memo an Rref carries: the path psi keeps on it, and the primary and
+path scd_cover hands on to each cover it returns.  The memoised chain walk
+is checked against the memo-free route, which starts every step from a fresh
+copy of the subspace, and the memo is checked to stay invisible to equality,
+hashing, repr, pickling and the dataclass fields."""
+
+import dataclasses
+import importlib
+import pickle
+
+import pytest
+
+from conftest import ALL_FIELDS
+from qlattice import (Rref, classify_columns, del_set, enumerate_subspaces,
+                      gf, psi, scd_cover, set_and_subset)
+from qlattice import decomp
+
+#: The module; the package name qlattice.psi is the function.
+psi_mod = importlib.import_module("qlattice.psi")
+
+#: Largest n walked per field: every subspace of F_q^n, n <= NMAX[q].
+NMAX = {2: 6, 3: 4}
+
+F2 = gf(2)
+F3 = gf(3)
+
+
+def fresh(x):
+    """A memo-free copy of x."""
+    return Rref(x.field, x.n, x.rows, x.pivots)
+
+
+def memo_free_chain(x):
+    """The same chain with every step taken from a fresh copy: the route
+    that deletes the inessential pivots of each member to find its
+    primary."""
+    chain = [fresh(x)]
+    while (y := scd_cover(fresh(chain[-1]))) is not None:
+        chain.append(y)
+    return chain
+
+
+def every_subspace(q):
+    field = gf(q)
+    for n in range(NMAX.get(q, 3) + 1):
+        yield from enumerate_subspaces(field, n)
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_memoised_chains_match_the_memo_free_route(q, monkeypatch):
+    deletions = []
+    real_del_col = decomp.del_col
+
+    def counted_del_col(x, j):
+        deletions.append(j)
+        return real_del_col(x, j)
+
+    monkeypatch.setattr(decomp, "del_col", counted_del_col)
+    for x in every_subspace(q):
+        # every step after the first starts from the cover it got, memo
+        # and all, so only the first may delete
+        chain = [x, scd_cover(x)]
+        deletions.clear()
+        while chain[-1] is not None:
+            chain.append(scd_cover(chain[-1]))
+        chain.pop()
+        assert deletions == [], "a step after the first deleted a column"
+        assert chain == memo_free_chain(x)
+        for y in chain[1:]:
+            memo = vars(y)
+            ground, inl = set_and_subset(fresh(y))
+            assert memo["_primary"] == del_set(fresh(y), inl)
+            assert memo["_path"] == psi(fresh(y))
+            assert ground == frozenset(memo["_path"].horizontals)
+
+
+def test_psi_keeps_its_path_and_classify_reuses_it(monkeypatch):
+    x = Rref(F3, 4, ((1, 0, 2, 0), (0, 1, 1, 0)), (1, 2))
+    expected = set_and_subset(fresh(x)), classify_columns(fresh(x))
+    path = psi(x)
+    assert vars(x)["_path"] is path
+
+    def refuse(*args):
+        raise AssertionError("no second pivot pass")
+
+    monkeypatch.setattr(psi_mod, "right_pivots", refuse)
+    monkeypatch.setattr(psi_mod, "is_valid_rref", refuse)
+    assert psi(x) is path
+    assert (set_and_subset(x), classify_columns(x)) == expected
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_the_memo_stays_invisible(q):
+    assert [f.name for f in dataclasses.fields(Rref)] == [
+        "field", "n", "rows", "pivots"]
+    covers = 0
+    for x in every_subspace(q):
+        y = scd_cover(x)
+        if y is None:
+            continue
+        covers += 1
+        copy = fresh(y)
+        assert set(vars(y)) - set(vars(copy)) == {"_path", "_primary"}
+        assert y == copy and hash(y) == hash(copy) and repr(y) == repr(copy)
+        assert pickle.loads(pickle.dumps(y)) == copy
+        # a primary's memo holds its path only, never itself
+        p = vars(y)["_primary"]
+        assert "_primary" not in vars(p) and "_primary" not in vars(x)
+    assert covers
+
+
+def test_psi_refuses_an_invalid_rref_once_for_every_reader():
+    """A caller's Rref is checked on the first pivot pass, so psi and every
+    reader built on it raise ValueError, pivots out of range included."""
+    bad = (Rref(F2, 3, ((1, 1, 0), (0, 1, 1)), (1, 2)),
+           Rref(F2, 3, ((0, 1, 0), (1, 0, 0)), (2, 1)),
+           Rref(F3, 2, ((1, 3),), (1,)),
+           Rref(F2, 2, ((0, 0, 1),), (3,)),
+           Rref(F2, 2, ((0, 1),), (2, 3)))
+    for reader in (psi, classify_columns, set_and_subset, scd_cover):
+        for x in bad:
+            with pytest.raises(ValueError, match="valid rref"):
+                reader(fresh(x))
