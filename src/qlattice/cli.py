@@ -154,10 +154,15 @@ def _cmd_scd(args):
         print(json.dumps({"q": args.q, "n": args.n,
                           "chains": payload}))
     else:
+        # the chains share few distinct rows, so each is formatted once
+        texts = {}
         for i, chain in enumerate(dec.chains, start=1):
             print(f"chain {i} (ranks {chain[0].dim}..{chain[-1].dim})")
             for x in chain:
-                print(f"  [{_rref_text(x)}]")
+                line = ";".join([
+                    texts.get(r) or texts.setdefault(r, ",".join(map(str, r)))
+                    for r in x.rows]) or "-"
+                print(f"  [{line}]")
     return 0
 
 

@@ -8,22 +8,37 @@ path-preserving); their multi-column iterates; the Boolean block spanned by
 a primary rref; and the chain decomposition obtained by transporting the
 bracket-matching chains of a finite Boolean algebra through the insertions.
 
-Insertion and deletion take their guard, the lexically first basis of the
-section and every coordinate they need from the one forward elimination
-that classifies the column (:func:`qlattice.psi.column_elimination`).
-Insertion needs only the row c (I + b^T c)^-1, which by Sherman-Morrison is
-the scalar multiple c / (1 + b . c^T); :func:`gamma_inv` remains as the
-reference matrix it is tested against.  A block member ins_set(x, S) is
-built from the member at S - {min S} by one insertion, the last step ins_set
-itself takes, so a block costs one insertion per member besides its
-primary, paid on the first read of its members.  A primary is a
-subspace whose dimension equals the down count of its path, that is one
-with no column in L & R, and its ground set is the H steps of that path.
-Both decompositions read their blocks from one stream, the walk
-:func:`qlattice.psi.subspaces_with_paths` with the non-primaries pruned: a
-row whose right pivot lands in L is skipped with its subtree, and the walk
-stops above dimension n/2, since a primary has dimension |P| <= n/2.  Each
-block takes its path from the walk, which builds one MotzkinPath per word.
+Over any field, insertion and deletion take their guard, the lexically
+first basis of the section and every coordinate they need from the one
+forward elimination that classifies the column
+(:func:`qlattice.psi.column_elimination`).  Insertion needs only the row
+c (I + b^T c)^-1, which by Sherman-Morrison is the scalar multiple
+c / (1 + b . c^T); :func:`gamma_inv` remains as the reference matrix it is
+tested against.
+
+Over F_2 the pairing map and the scale collapse.  mu(1, x) is 1 + x, so
+phi(b) is the complement of b, every product b_i phi(b)_i is 0,
+b . phi(b)^T = 0 and the scale 1 / (1 + b . c^T) is 1.  The new row is then
+e_j plus the XOR of the tails of the basis rows whose column-j entry is 0.
+:func:`ins_col` hands q = 2 to a bit-row kernel, :func:`_ins_col_gf2`, in
+the style of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010): the rows above
+column j become ints, the guard is one XOR elimination of the section, and
+the rows are cleared at column j by XOR.  It runs no field operation, no
+phi and no :func:`qlattice.matspace._eliminate`; the general route serves
+every other field and is the reference the kernel is tested against.
+Deletion takes the general route at every q.
+
+A block member ins_set(x, S) is built from the member at S - {min S} by
+one insertion, the last step ins_set itself takes, so a block costs one
+insertion per member besides its primary, paid on the first read of its
+members.  A primary is a subspace whose dimension equals the down count of
+its path, that is one with no column in L & R, and its ground set is the H
+steps of that path.  Both decompositions read their blocks from one
+stream, the walk :func:`qlattice.psi.subspaces_with_paths` with the
+non-primaries pruned: a row whose right pivot lands in L is skipped with its
+subtree, and the walk stops above dimension n/2, since a primary has
+dimension |P| <= n/2.  Each block takes its path from the walk, which
+builds one MotzkinPath per word.
 
 A single cover step, :func:`scd_cover`, stays inside one block: the
 cover of ins_set(p, I) is ins_set(p, I + {j}), so it is built from the
@@ -40,6 +55,7 @@ into a member, and I is a chain top exactly when no unmatched "(" remains.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -162,36 +178,103 @@ def del_col(x, j):
 def ins_col(x, j):
     """Insert a pivot at the nonpivotal inessential column j: the result
     contains x with dimension one higher and the same Motzkin path.  Inverse
-    of :func:`del_col` at j.
+    of :func:`del_col` at j.  Over F_2 the bit-row kernel
+    :func:`_ins_col_gf2` computes it; :func:`_ins_col_general` serves every
+    other field and is the reference the kernel is tested against."""
+    if x.field.q == 2:
+        return _ins_col_gf2(x, j)
+    return _ins_col_general(x, j)
 
-    The new pivot row carries u . basis for the section's lexically first
-    basis, where u = c (I + b^T c)^-1 for the column-j entries b of the
-    basis rows and c = phi(b); u is the scalar multiple c / (1 + b . c^T),
-    which phi keeps defined."""
+
+def _not_insertable(j):
+    return ValueError(
+        f"column {j} is not nonpivotal and inessential; cannot insert")
+
+
+def _ins_col_general(x, j):
+    """:func:`ins_col` over any field.  The new pivot row carries u . basis
+    for the section's lexically first basis, where u = c (I + b^T c)^-1 for
+    the column-j entries b of the basis rows and c = phi(b); u is the scalar
+    multiple c / (1 + b . c^T), which phi keeps defined.  Rows whose
+    column-j entry is 0, and every row from the pivot row m down, are kept
+    as they are."""
     cls, m, e = column_elimination(x, j)
     if cls.pivotal or cls.essential:
-        raise ValueError(
-            f"column {j} is not nonpivotal and inessential; cannot insert")
+        raise _not_insertable(j)
     f = x.field
     n = x.n
     basis = [x.rows[i][j:] for i in e.kept]
     b = tuple(x.rows[i][j - 1] for i in e.kept)
     u = _inverse_update_row(f, b, phi(f, b))
     a = _vec_times_rows(f, u, basis, n - j)
-    newrow = [0] * n
-    newrow[j - 1] = 1
-    newrow[j:] = a
     sub, mul = f.sub, f.mul
-    rows = [list(r) for r in x.rows]
-    for rl in rows[:m]:
-        dl = rl[j - 1]
+    rows = list(x.rows)
+    for i, row in enumerate(rows[:m]):
+        dl = row[j - 1]
         if dl:
+            rl = list(row)
             rl[j - 1] = 0
             for t in range(j, n):
                 rl[t] = sub(rl[t], mul(dl, a[t - j]))
-    rows.insert(m, newrow)
-    pivots = tuple(sorted(x.pivots + (j,)))
-    return Rref(f, n, tuple(tuple(r) for r in rows), pivots)
+            rows[i] = tuple(rl)
+    rows.insert(m, (0,) * (j - 1) + (1,) + tuple(a))
+    return Rref(f, n, tuple(rows), x.pivots[:m] + (j,) + x.pivots[m:])
+
+
+#: Maps the text digits of a binary numeral to the bytes 0 and 1.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _ins_col_gf2(x, j):
+    """:func:`ins_col` over F_2, on the m rows above column j packed into
+    ints, bit n - c for column c.
+
+    The guard is the forward elimination of the section (tail, column-j
+    bit) by XOR: a row whose tail reduces to zero with its column-j bit left
+    set puts a pivot on column j, which is then essential.  The rows whose
+    tails stay independent are the lexically first basis, and the new row
+    is e_j plus the XOR of the tails of those whose column-j bit is 0 (see
+    the module docstring).  The rows above whose column-j bit is 1 take the
+    new row by XOR; every other row is kept."""
+    n = x.n
+    if not 1 <= j <= n:
+        raise ValueError(f"column {j} outside [1, {n}]")
+    pivots = x.pivots
+    m = bisect_right(pivots, j)
+    if m and pivots[m - 1] == j:
+        raise _not_insertable(j)
+    w = n - j
+    mask = (1 << w) - 1
+    packed = []
+    reduced = {}
+    a = 0
+    for row in x.rows[:m]:
+        v = 0
+        for bit in row[j - 1:]:
+            v = v + v + bit
+        packed.append(v)
+        r = v
+        while r & mask:
+            top = (r & mask).bit_length()
+            if top not in reduced:
+                reduced[top] = r
+                if not v >> w:
+                    a ^= v
+                break
+            r ^= reduced[top]
+        else:
+            if r:
+                raise _not_insertable(j)
+    new = 1 << w | a
+    fmt = f"0{w + 1}b"
+    rows = list(x.rows)
+    for i, v in enumerate(packed):
+        if v >> w:
+            rows[i] = rows[i][:j - 1] + tuple(
+                format(v ^ new, fmt).encode().translate(_BIT_BYTES))
+    rows.insert(m, (0,) * (j - 1) + tuple(
+        format(new, fmt).encode().translate(_BIT_BYTES)))
+    return Rref(x.field, n, tuple(rows), pivots[:m] + (j,) + pivots[m:])
 
 
 def del_set(x, cols):
@@ -230,9 +313,10 @@ class BooleanBlock:
         subset S of the ground set, by size and then lexicographically.
         Each member is one insertion of min S into the member at
         S - {min S}, which is the last step of ins_set."""
+        ground = self.ground
         members = {frozenset(): self.primary}
-        for size in range(1, len(self.ground) + 1):
-            for cols in combinations(self.ground, size):
+        for size in range(1, len(ground) + 1):
+            for cols in combinations(ground, size):
                 members[frozenset(cols)] = ins_col(
                     members[frozenset(cols[1:])], cols[0])
         return members

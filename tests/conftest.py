@@ -115,10 +115,39 @@ def _weighted(rng, items, weights):
 @lru_cache(maxsize=None)
 def _pivot_sets(q, n, k):
     """The k-subsets of [n], each with weight q^(free entries): the
-    nonpivot columns right of each pivot.  The weights sum to [n k]_q."""
+    nonpivot columns right of each pivot.  The weights sum to [n k]_q.
+    The enumerating reference for :func:`_pivot_set`."""
     sets = tuple(combinations(range(1, n + 1), k))
     return sets, tuple(q ** sum(n - p - (k - i) for i, p in enumerate(s, 1))
                        for s in sets)
+
+
+@lru_cache(maxsize=None)
+def _gaussian(q, n, k):
+    """[n k]_q by [n k] = [n-1 k] + q^(n-k) [n-1 k-1]: column 1 is either
+    no pivot, or the first pivot with n - k free entries in its row."""
+    if not 0 <= k <= n:
+        return 0
+    if k in (0, n):
+        return 1
+    return _gaussian(q, n - 1, k) + q ** (n - k) * _gaussian(q, n - 1, k - 1)
+
+
+def _pivot_set(q, n, k, r):
+    """The k-subset of [n] that covers r, 0 <= r < [n k]_q, when each set of
+    :func:`_pivot_sets` covers as many integers as its weight, in that
+    order.  The sets with first pivot p weigh q^(n - p - (k - 1)) times
+    [n - p, k - 1]_q together, and within them the weights of the rest are
+    scaled by the first factor, so no set is listed."""
+    pivots, p = [], 0
+    for left in range(k - 1, -1, -1):
+        p += 1
+        while r >= (block := q ** (n - p - left) * _gaussian(q, n - p, left)):
+            r -= block
+            p += 1
+        pivots.append(p)
+        r //= q ** (n - p - left)
+    return tuple(pivots)
 
 
 def sample_subspace(field, n, rng):
@@ -126,9 +155,9 @@ def sample_subspace(field, n, rng):
     with weight [n k]_q, then a pivot set with weight q^(free entries), then
     each free entry uniformly."""
     q = field.q
-    gaussian = [sum(_pivot_sets(q, n, k)[1]) for k in range(n + 1)]
-    k = _weighted(rng, range(n + 1), gaussian)
-    pivots = _weighted(rng, *_pivot_sets(q, n, k))
+    k = _weighted(rng, range(n + 1),
+                  [_gaussian(q, n, k) for k in range(n + 1)])
+    pivots = _pivot_set(q, n, k, rng.randrange(_gaussian(q, n, k)))
     els = tuple(field.elements())
     rows = []
     for p in pivots:

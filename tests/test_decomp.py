@@ -1,10 +1,12 @@
+import dataclasses
 import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import ALL_FIELDS, gamma, subspaces
+from conftest import ALL_FIELDS, gamma, sample_subspace, subspaces
 from qlattice import (Rref, TooLargeError, boolean_block, bracket_chain,
                       bracket_chains, bracket_cover, classify_column, del_col,
                       del_set, enumerate_subspaces, fiber_census, full_space,
@@ -548,3 +550,67 @@ def test_cover_walk_on_every_field(x):
         assert psi(hi) == path
         lo, hi = hi, scd_cover(hi)
     assert 2 * lo.dim >= x.n
+
+
+def insertion_by(route, x, j):
+    """(rows, pivots) of route(x, j), or the text of its ValueError."""
+    try:
+        y = route(x, j)
+    except ValueError as exc:
+        return str(exc)
+    return y.rows, y.pivots
+
+
+def test_gf2_kernel_matches_the_general_route_exhaustively():
+    """The bit-row kernel equals the general insertion, error texts
+    included, for every subspace of F_2^n, n <= 6, at every column."""
+    for n in range(7):
+        for x in enumerate_subspaces(F2, n):
+            for j in range(n + 2):
+                assert (insertion_by(decomp._ins_col_gf2, x, j)
+                        == insertion_by(decomp._ins_col_general, x, j))
+
+
+def test_gf2_insertion_is_undone_by_deletion():
+    """del_col, still the general route, inverts the kernel over F_2."""
+    inserted = 0
+    for n in range(7):
+        for x in enumerate_subspaces(F2, n):
+            for j in set_and_subset(x)[0] - left_pivots(x):
+                assert del_col(ins_col(x, j), j) == x
+                inserted += 1
+    assert inserted
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 20), st.integers(0, 2**32 - 1))
+@example(0, 0)
+@example(1, 0)
+@example(1, 1)
+@example(20, 0)
+def test_gf2_kernel_matches_the_general_route_on_wide_rows(n, seed):
+    """Rows up to 20 bits wide, every column from 0 to n + 1, so the empty
+    tail at j = n and the spaces F_2^0 and F_2^1 are always reached."""
+    x = sample_subspace(F2, n, random.Random(seed))
+    for j in range(n + 2):
+        got = insertion_by(decomp._ins_col_gf2, x, j)
+        assert got == insertion_by(decomp._ins_col_general, x, j)
+        if not isinstance(got, str):
+            assert del_col(ins_col(x, j), j) == x
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_inserted_rrefs_stay_frozen_and_their_memo_unseen(q):
+    """An Rref built by either insertion route refuses field assignment,
+    and the memo scd_cover leaves on it stays out of == and hash."""
+    field = gf(q)
+    x = span(field, [(0, 1, 1, 0)], 4)
+    y = ins_col(x, 1)
+    for name in ("field", "n", "rows", "pivots"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(y, name, getattr(y, name))
+    cover = scd_cover(y)
+    assert set(vars(cover)) >= {"_path", "_primary"}
+    copy = Rref(cover.field, cover.n, cover.rows, cover.pivots)
+    assert "_primary" not in vars(copy)
+    assert cover == copy and hash(cover) == hash(copy)

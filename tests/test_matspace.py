@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from conftest import ALL_FIELDS, _pivot_sets, sample_subspace
+from conftest import (ALL_FIELDS, _gaussian, _pivot_set, _pivot_sets,
+                      sample_subspace)
 from qlattice import (Mat, Rref, TooLargeError, enumerate_subspaces,
                       format_matrix, full_space, gf, is_valid_rref,
                       left_pivots, parse_matrix, qbinomial, right_pivots, rref_left,
@@ -204,12 +205,19 @@ def test_enumeration_guard():
 
 def test_subspace_sampler_is_uniform():
     """The sampler behind the property tests: its pivot-set weights sum to
-    the Gaussian binomials, and seeded draws reach every subspace of F_2^3
-    and F_3^2 about equally often."""
+    the Gaussian binomials, its unranking spans each set over as many
+    integers as the set weighs, in enumeration order, and seeded draws reach
+    every subspace of F_2^3 and F_3^2 about equally often."""
     for q in ALL_FIELDS:
         for n in range(7):
             for k in range(n + 1):
-                assert sum(_pivot_sets(q, n, k)[1]) == qbinomial(n, k)(q)
+                sets, weights = _pivot_sets(q, n, k)
+                assert sum(weights) == qbinomial(n, k)(q) == _gaussian(q, n, k)
+                start = 0
+                for s, w in zip(sets, weights):
+                    assert _pivot_set(q, n, k, start) == s
+                    assert _pivot_set(q, n, k, start + w - 1) == s
+                    start += w
     rng = random.Random(0)
     for field, n in ((F2, 3), (F3, 2)):
         total = subspace_count(field.q, n)
