@@ -10,9 +10,9 @@ explain.  Everything is pure and deterministic; no floating point anywhere.
 
 from .algebra import GF, QPoly, gf
 from .decomp import (BooleanBlock, ChainDecomposition, boolean_block,
-                     bracket_chain, bracket_chains, bracket_cover, del_col,
-                     del_set, gamma_inv, ins_col, ins_set, mu, mu_inv, phi,
-                     phi_inv, sbd, scd, scd_cover)
+                     bracket_chains, bracket_cover, del_col, del_set,
+                     gamma_inv, ins_col, ins_set, mu, mu_inv, phi, phi_inv,
+                     sbd, scd, scd_cover)
 from .errors import (DEFAULT_MAX_SIZE, NotPrimePowerError, TooLargeError,
                      UnsupportedFieldError)
 from .identities import (CensusRow, fiber_census, galois, goldman_rota_check,
@@ -21,13 +21,14 @@ from .involution import (Involution, biane, biane_fiber, enumerate_involutions,
                          involution_count, parse_involution)
 from .matspace import (Mat, Rref, enumerate_subspaces, format_matrix,
                        full_space, is_valid_rref, left_pivots, parse_matrix,
-                       right_pivots, rref_left, span, subspace_count,
-                       subspace_leq, zero_subspace)
+                       rref_left, span, subspace_count, subspace_leq,
+                       zero_subspace)
 from .motzkin import (MotzkinPath, down_height_product, enumerate_paths,
                       motzkin_number, weight_sums_by_downs)
 from .psi import (ColumnClass, classify_column, classify_columns, is_primary,
-                  path_from_classification, psi, section, section_rank,
-                  section_ranks, set_and_subset, subspaces_with_paths)
+                  path_from_classification, psi, right_pivots, section,
+                  section_rank, section_ranks, set_and_subset,
+                  subspaces_with_paths)
 
 __version__ = "0.1.0"
 
@@ -44,7 +45,7 @@ __all__ = [
     "psi", "path_from_classification", "is_primary", "set_and_subset",
     "subspaces_with_paths", "mu", "mu_inv", "phi", "phi_inv", "gamma_inv",
     "del_col", "ins_col", "del_set", "ins_set", "BooleanBlock",
-    "boolean_block", "sbd", "bracket_cover", "bracket_chain", "bracket_chains",
+    "boolean_block", "sbd", "bracket_cover", "bracket_chains",
     "scd_cover", "ChainDecomposition", "scd", "qbinomial", "galois",
     "goldman_rota_check", "verify_fs", "verify_ds", "CensusRow",
     "fiber_census",

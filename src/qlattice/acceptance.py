@@ -23,11 +23,11 @@ from .decomp import (del_col, del_set, ins_col, ins_set, phi, phi_inv, scd,
 from .identities import (fiber_census, galois, goldman_rota_check, verify_ds,
                          verify_fs)
 from .involution import Involution, biane
-from .matspace import (Rref, enumerate_subspaces, left_pivots, right_pivots,
-                       rank_of, subspace_count, subspace_leq)
+from .matspace import (Rref, enumerate_subspaces, left_pivots, rank_of,
+                       subspace_count, subspace_leq)
 from .motzkin import MotzkinPath, enumerate_paths
-from .psi import (is_primary, path_from_classification, psi, section,
-                  section_ranks, set_and_subset)
+from .psi import (is_primary, path_from_classification, psi, right_pivots,
+                  section, section_ranks, set_and_subset)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .identities import fiber_census, verify_ds, verify_fs
 from .involution import biane, enumerate_involutions, parse_involution
 from .matspace import format_matrix, parse_matrix, rref_left
 from .motzkin import MotzkinPath, enumerate_paths
-from .psi import _column_classes, psi
+from .psi import _column_classes, psi, right_pivots, set_and_subset
 
 
 def _max_size(args):
@@ -101,10 +101,8 @@ def _rref_text(x):
 def _cmd_psi(args):
     x = _load_rref(args)
     path = psi(x)
-    ground = list(path.horizontals)
-    inl = [j for j in ground if j in x.pivots]
-    # an H step is in both pivot sets or in neither, a D step in R only
-    right = sorted(inl + [j for j, s in enumerate(path.steps, 1) if s == "D"])
+    ground, inl = map(sorted, set_and_subset(x))
+    right = sorted(right_pivots(x))
     classes = _column_classes(x, path)
     if args.json:
         print(json.dumps({

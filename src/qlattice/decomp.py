@@ -33,12 +33,9 @@ one insertion, the last step ins_set itself takes, so a block costs one
 insertion per member besides its primary, paid on the first read of its
 members.  A primary is a subspace whose dimension equals the down count of
 its path, that is one with no column in L & R, and its ground set is the H
-steps of that path.  Both decompositions read their blocks from one
-stream, the walk :func:`qlattice.psi.subspaces_with_paths` with the
-non-primaries pruned: a row whose right pivot lands in L is skipped with its
-subtree, and the walk stops above dimension n/2, since a primary has
-dimension |P| <= n/2.  Each block takes its path from the walk, which
-builds one MotzkinPath per word.
+steps of that path.  Both decompositions take each block's primary and
+path from the walk :func:`qlattice.psi.subspaces_with_paths` with the
+non-primaries pruned.
 
 A single cover step, :func:`scd_cover`, stays inside one block: the
 cover of ins_set(p, I) is ins_set(p, I + {j}), so it is built from the
@@ -302,7 +299,7 @@ class BooleanBlock:
     primary: Rref
     path: MotzkinPath
 
-    @property
+    @cached_property
     def ground(self):
         """The inessential columns: the H steps of the path."""
         return self.path.horizontals
@@ -345,17 +342,11 @@ def boolean_block(x):
     return BooleanBlock(x, path)
 
 
-def _primary_blocks(field, n, max_size):
-    """Yield the block of every primary rref of F_q^n in enumeration order,
-    from the walk that prunes the non-primaries."""
-    for x, path in subspaces_with_paths(field, n, max_size, primary_only=True):
-        yield BooleanBlock(x, path)
-
-
 def sbd(field, n, max_size=None):
     """The symmetric Boolean decomposition of the subspace lattice of
     F_q^n: one block per primary rref, in enumeration order."""
-    return list(_primary_blocks(field, n, max_size))
+    return [BooleanBlock(x, path) for x, path in
+            subspaces_with_paths(field, n, max_size, primary_only=True)]
 
 
 def _bracket_scan(ground, members):
@@ -384,17 +375,6 @@ def bracket_cover(ground, members):
         raise ValueError("members must be a subset of the ground set")
     _, stack = _bracket_scan(ground, members)
     return stack[0] if stack else None
-
-
-def bracket_chain(ground, members):
-    """The full symmetric chain through ``members``: matched elements stay
-    fixed while the unmatched positions fill from the left."""
-    ground = sorted(ground)
-    members = frozenset(members)
-    close, stack = _bracket_scan(ground, members)
-    fixed = members - set(close)
-    slots = close + stack
-    return [frozenset(fixed | set(slots[:t])) for t in range(len(slots) + 1)]
 
 
 def bracket_chains(ground):
@@ -461,7 +441,8 @@ def scd(field, n, max_size=None):
     member ins_set(primary, S), read from the block's incrementally built
     member map.  Each block is dropped once its chains are read."""
     chains = []
-    for block in _primary_blocks(field, n, max_size):
+    for x, path in subspaces_with_paths(field, n, max_size, primary_only=True):
+        block = BooleanBlock(x, path)
         members = block.members
         chains.extend([members[cols] for cols in sets]
                       for sets in bracket_chains(block.ground))

@@ -16,9 +16,17 @@ class TooLargeError(ValueError):
     """Raised when an enumeration would exceed the configured size ceiling."""
 
 
-def _check_ceiling(total, max_size, what):
-    """Raise TooLargeError when ``total`` elements, described by ``what``,
-    exceed ``max_size`` (DEFAULT_MAX_SIZE when None)."""
+def _check_ceiling(counts, max_size, what):
+    """Raise TooLargeError when the running counts ``counts`` of an
+    enumeration, nondecreasing up to its total, pass ``max_size``
+    (DEFAULT_MAX_SIZE when None); ``what(count)`` names it.  A count past
+    both the ceiling and 2^63 is left unfinished and shown as "at least
+    2^63"."""
     limit = DEFAULT_MAX_SIZE if max_size is None else max_size
+    stop = max(limit, 2**63 - 1)
+    for total in counts:
+        if total > stop:
+            break
     if total > limit:
-        raise TooLargeError(f"{what}, above the ceiling {limit}")
+        shown = total if total < 2**63 else "at least 2^63"
+        raise TooLargeError(f"{what(shown)}, above the ceiling {limit}")

@@ -8,8 +8,7 @@ map, by Motzkin paths (coefficient (q-1)^|P| w(P,q)).  Everything here is
 exact polynomial arithmetic; reports are plain JSON-shaped dicts with an
 "ok" flag and the first counterexample, and the census raises on any
 violated invariant.  The census reads every subspace with its path off the
-full walk :func:`qlattice.psi.subspaces_with_paths`, which runs no pivot
-pass per subspace and builds one MotzkinPath per word.
+full walk :func:`qlattice.psi.subspaces_with_paths`.
 """
 
 from __future__ import annotations

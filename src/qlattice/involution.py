@@ -82,20 +82,23 @@ def parse_involution(s, n=None):
     return Involution(n, cycles)
 
 
-def involution_count(n):
-    """Size of the involution set, by I(m+1) = I(m) + m * I(m-1)."""
-    if n == 0:
-        return 1
-    prev, cur = 1, 1
-    for m in range(1, n):
+def _involution_counts(n):
+    """I(0), ..., I(n), by I(m+1) = I(m) + m * I(m-1)."""
+    prev, cur = 0, 1
+    for m in range(n + 1):
+        yield cur
         prev, cur = cur, cur + m * prev
-    return cur
+
+
+def involution_count(n):
+    """Size of the involution set: the last, and largest, running count."""
+    return max(_involution_counts(n))
 
 
 def enumerate_involutions(n, max_size=None):
     """Yield every involution on [n] exactly once."""
-    total = involution_count(n)
-    _check_ceiling(total, max_size, f"{total} involutions on [{n}]")
+    _check_ceiling(_involution_counts(n), max_size,
+                   lambda total: f"{total} involutions on [{n}]")
 
     def rec(points):
         if not points:
@@ -128,8 +131,8 @@ def biane_fiber(p):
     in turn.  Sorted by cycles, which is the order of
     :func:`enumerate_involutions`.  The count is the product of down-step
     heights, held to the size ceiling."""
-    total = down_height_product(p)
-    _check_ceiling(total, None, f"{total} involutions over {p}")
+    _check_ceiling([down_height_product(p)], None,
+                   lambda total: f"{total} involutions over {p}")
     partial = [((), ())]  # (closed 2-cycles, open initial points)
     for j, step in enumerate(p.steps, 1):
         if step == "U":

@@ -5,15 +5,17 @@ any spanning matrix, so equality of subspaces is structural equality of
 :class:`Rref` values.  Column indices are 1-based throughout; the zero
 subspace is the 0 x n empty rref.
 
-Every row reduction is one forward pass, :func:`_eliminate`; the rref, the
-rank, the lexically first basis and coordinates are read from it.
+Every left-to-right row reduction is one forward pass, :func:`_eliminate`;
+the rref, the rank, the lexically first basis and coordinates are read from
+it (the right pivots are read off the path, see :mod:`qlattice.psi`).
 Containment in a subspace needs no elimination: :func:`subspace_leq` reduces
 each row against the rows of the given rref, which are already reduced.
 
 The subspaces with a fixed pivot set form one cell, and each row of a cell
-varies on its own, so :func:`enumerate_subspaces` lists a cell as the product
-of its rows' alphabets.  The order is dimension, then pivot set, then rows
-lexicographic.
+varies on its own.  :func:`_pivot_cells` checks the ceiling once and lists
+each cell's per-row choices; :func:`enumerate_subspaces` takes their
+product, and the walk :func:`qlattice.psi.subspaces_with_paths` carries its
+row reduction over the same cells.
 """
 
 from __future__ import annotations
@@ -197,14 +199,6 @@ def left_pivots(x):
     return frozenset(x.pivots)
 
 
-def right_pivots(x):
-    """Columns where some vector of the subspace has its last nonzero
-    coordinate; computed by mirror-image (right-to-left) elimination."""
-    rev = [row[::-1] for row in x.rows]
-    return frozenset(x.n + 1 - p
-                     for p in _eliminate(x.field, rev, x.n).pivots)
-
-
 def subspace_leq(a, b):
     """Containment a <= b in the subspace lattice.  The rows of the rref b
     are zero at each other's pivots, so a row v of a lies in b exactly when
@@ -226,36 +220,43 @@ def subspace_leq(a, b):
     return True
 
 
-def subspace_count(q, n):
-    """Number of subspaces of F_q^n, by the two-term recurrence
-    G(m+1) = 2 G(m) + (q^m - 1) G(m-1)."""
-    if n == 0:
-        return 1
-    prev, cur = 1, 2
-    for m in range(1, n):
+def _subspace_counts(q, n):
+    """G(0), ..., G(n), the subspace counts of F_q^m, by the two-term
+    recurrence G(m+1) = 2 G(m) + (q^m - 1) G(m-1)."""
+    prev, cur = 0, 1
+    for m in range(n + 1):
+        yield cur
         prev, cur = cur, 2 * cur + (q**m - 1) * prev
-    return cur
+
+
+def subspace_count(q, n):
+    """Number of subspaces of F_q^n: the last, and largest, running count."""
+    return max(_subspace_counts(q, n))
+
+
+def _pivot_cells(field, n, max_size, top):
+    """Check the ceiling on the subspaces of F_q^n, then yield (pivots,
+    per-row choices) for each pivot cell up to dimension ``top``, in
+    enumeration order.  Row i reads (1,) at its pivot, (0,) before it and at
+    the other pivots, and any element of F_q at each free column after it."""
+    _check_ceiling(_subspace_counts(field.q, n), max_size,
+                   lambda total: f"F_{field.q}^{n} has {total} subspaces")
+    els = tuple(field.elements())
+    for k in range(top + 1):
+        for pivots in combinations(range(1, n + 1), k):
+            yield pivots, [list(product(*(
+                (1,) if j == p else (0,) if j < p or j in pivots else els
+                for j in range(1, n + 1)))) for p in pivots]
 
 
 def enumerate_subspaces(field, n, max_size=None):
-    """Yield every subspace of F_q^n exactly once.
-
-    The subspaces with pivot set L form one cell, the product of its rows'
-    alphabets: row i reads (1,) at its pivot, (0,) before it and at the other
-    pivots, and every element of F_q at each free column after it.  Order is
-    fixed: dimension ascending, then pivot set lexicographic, then the rows
-    lexicographic (last row fastest, and within a row the last free column).
-    """
-    total = subspace_count(field.q, n)
-    _check_ceiling(total, max_size, f"F_{field.q}^{n} has {total} subspaces")
-    els = tuple(field.elements())
-    for k in range(n + 1):
-        for pivots in combinations(range(1, n + 1), k):
-            row_choices = [product(*(
-                (1,) if j == p else (0,) if j < p or j in pivots else els
-                for j in range(1, n + 1))) for p in pivots]
-            for rows in product(*row_choices):
-                yield Rref(field, n, rows, pivots)
+    """Yield every subspace of F_q^n exactly once, each pivot cell as the
+    product of its rows' choices.  Order is fixed: dimension ascending, then
+    pivot set lexicographic, then the rows lexicographic (last row fastest,
+    and within a row the last free column)."""
+    for pivots, choices in _pivot_cells(field, n, max_size, n):
+        for rows in product(*choices):
+            yield Rref(field, n, rows, pivots)
 
 
 def is_valid_rref(x):

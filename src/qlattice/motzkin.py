@@ -86,8 +86,8 @@ class MotzkinPath:
 def enumerate_paths(n, max_size=None):
     """Yield every path of length n once, lexicographic with D < H < U;
     TooLargeError when they outnumber max_size (default DEFAULT_MAX_SIZE)."""
-    total = motzkin_number(n)
-    _check_ceiling(total, max_size, f"{total} paths of length {n}")
+    _check_ceiling(_motzkin_numbers(n), max_size,
+                   lambda total: f"{total} paths of length {n}")
     buf = []
 
     def rec(i, h):
@@ -136,12 +136,17 @@ def weight_sums_by_downs(n):
     return out
 
 
+def _motzkin_numbers(n):
+    """M(0), ..., M(n), by (i + 2) M(i) = (2i + 1) M(i-1) + 3(i - 1) M(i-2)."""
+    prev, cur = 0, 1
+    for i in range(1, n + 2):
+        yield cur
+        prev, cur = cur, ((2 * i + 1) * cur + 3 * (i - 1) * prev) // (i + 2)
+
+
 def motzkin_number(n):
-    """Count of paths of length n, by the convolution recurrence."""
-    m = [1] * (n + 1)
-    for i in range(1, n + 1):
-        m[i] = m[i - 1] + sum(m[k] * m[i - 2 - k] for k in range(i - 1))
-    return m[n]
+    """Count of paths of length n: the last, and largest, running count."""
+    return max(_motzkin_numbers(n))
 
 
 def down_height_product(p):

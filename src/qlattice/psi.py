@@ -5,43 +5,36 @@ column is a left pivot but not a right pivot, D for the converse, H where
 the column is in both pivot sets or neither.  An equivalent description
 classifies each column as pivotal/nonpivotal and essential/inessential via
 the sections of the matrix; both routes are implemented so they can be
-checked against each other.  The pivot-set route is one right-to-left
-elimination, :func:`psi`, and everything else is read off its path and the
-left pivots: the inessential columns are the H steps, the inessential pivots
-are the H steps at left pivots, and a subspace is primary exactly when its
-dimension equals the down count of its path (|L| = #U + |L & R| and
-#U = #D).  The section route classifies one column by one forward
-elimination, :func:`column_elimination`: the guard and the coordinates of
-column insertion and deletion, and the reference behind
-:func:`path_from_classification` and :func:`is_primary`.
+checked against each other.
 
-The bulk route is :func:`subspaces_with_paths`, the walk behind ``sbd``,
-``scd`` and ``census``: it lists the subspaces in enumeration order with
-their paths, carrying the right-to-left elimination of the rows above down
-each pivot cell so every node reduces one row, and it builds one MotzkinPath
-per distinct word.  A row whose right pivot is a left pivot puts a column in
-L & R, so asked for the primaries only it prunes that row's whole subtree.
-:func:`psi` is the route for a single subspace and the reference the
-walk is tested against; it keeps the path it computes on the Rref, so
-:func:`classify_columns` and :func:`set_and_subset` after it run no second
-elimination.
+The pivot-set route is one pass: the row step :func:`_row_step` finds each
+row's right pivot and :func:`_pivot_path` spells the word.  The walk
+:func:`subspaces_with_paths` behind ``sbd``, ``scd`` and ``census`` takes
+one step per node of each pivot cell of the enumeration, and :func:`psi`
+is that walk over the one-subspace cell of its argument.  The rest is read
+off the path and the left pivots: the right pivots, the inessential columns
+(the H steps) and pivots (the H steps at left pivots), and whether the
+subspace is primary, that is whether its dimension equals the down count
+(|L| = #U + |L & R| and #U = #D).
 
-The section at column j is the submatrix formed by the rows whose pivot is
-at or before j and the columns strictly after j.  Column j is essential when
-the data it carries (the column above the diagonal in the nonpivotal case,
-the trailing part of the pivot row in the pivotal case) is independent of
-that section; the span of the empty set is {0}.
+The section route classifies one column by one forward elimination,
+:func:`column_elimination`: the guard and the coordinates of column
+insertion and deletion, and the reference behind
+:func:`path_from_classification` and :func:`is_primary`.  The section at
+column j is the submatrix formed by the rows whose pivot is at or before j
+and the columns strictly after j.  Column j is essential when the data it
+carries (the column above the diagonal in the nonpivotal case, the trailing
+part of the pivot row in the pivotal case) is independent of that section;
+the span of the empty set is {0}.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import combinations, product
 from typing import NamedTuple
 
-from .errors import _check_ceiling
-from .matspace import (Mat, Rref, _eliminate, is_valid_rref, left_pivots,
-                       rank_of, right_pivots, subspace_count)
+from .matspace import (Mat, Rref, _eliminate, _pivot_cells, is_valid_rref,
+                       left_pivots, rank_of)
 from .motzkin import MotzkinPath
 
 
@@ -103,9 +96,53 @@ def classify_columns(x):
     return _column_classes(x, psi(x))
 
 
+def _row_step(field, carried):
+    """The row step against ``carried`` (0-based right pivot -> carried row
+    and the inverse of its entry there): a function mapping a row to its
+    (0-based right pivot, row reduced up to it).  It scans from the right,
+    subtracting each carried row it meets, until no carried row ends there."""
+    mul, sub, n = field.mul, field.sub, len(carried)
+
+    def right_pivot(row):
+        r, t = row, n - 1
+        while True:
+            while not r[t]:
+                t -= 1
+            hit = carried[t]
+            if hit is None:
+                return t, r
+            prow, pinv = hit
+            c = r[t] if pinv == 1 else mul(r[t], pinv)
+            if r is row:
+                r = list(row)
+            r[t] = 0
+            for s in range(t):
+                if prow[s]:
+                    r[s] = sub(r[s], mul(c, prow[s]))
+
+    return right_pivot
+
+
+def _pivot_path(left, right, n, paths):
+    """The path spelt by the pivot sets, given as bitmasks (bit j for column
+    j + 1): U on L - R, D on R - L, H elsewhere.  Each word is built into
+    one MotzkinPath, kept in ``paths``; a word that is no path raises
+    RuntimeError."""
+    word = "".join("H" if (left >> j & 1) == (right >> j & 1)
+                   else "U" if left >> j & 1 else "D" for j in range(n))
+    path = paths.get(word)
+    if path is None:
+        try:
+            path = paths[word] = MotzkinPath(word)
+        except ValueError as exc:
+            raise RuntimeError(f"pivot sets produced the non-path word "
+                               f"{word!r}: {exc}") from exc
+    return path
+
+
 def psi(x):
-    """The Motzkin path of a subspace, from one pass over its pivot sets.
-    The prefix height at j equals the rank of the section at j.
+    """The Motzkin path of a subspace, one row step per row of x.  The
+    prefix height at j equals the rank of the section at j.
 
     The path is a function of the value of x, which is immutable, so it is
     kept in x's memo (``x.__dict__["_path"]``) and later calls return it.
@@ -116,112 +153,81 @@ def psi(x):
         return path
     if not is_valid_rref(x):
         raise ValueError("psi requires a valid rref")
-    steps = ["H"] * x.n
-    for j in x.pivots:
-        steps[j - 1] = "U"
-    for j in right_pivots(x):
-        steps[j - 1] = "H" if steps[j - 1] == "U" else "D"
-    word = "".join(steps)
-    try:
-        path = x.__dict__["_path"] = MotzkinPath(word)
-    except ValueError as exc:
-        raise RuntimeError(
-            f"pivot sets of\n{x}\nproduced the non-path word {word!r}: {exc}"
-        ) from exc
+    carried = [None] * x.n
+    right_pivot = _row_step(x.field, carried)
+    right = 0
+    for row in x.rows:
+        t, r = right_pivot(row)
+        carried[t] = (r, x.field.inv(r[t]))
+        right |= 1 << t
+    left = sum(1 << (p - 1) for p in x.pivots)
+    path = x.__dict__["_path"] = _pivot_path(left, right, x.n, {})
     return path
+
+
+def right_pivots(x):
+    """Columns where some vector of the subspace has its last nonzero
+    coordinate, read off psi(x): the D steps, and the H steps at left
+    pivots (an H step is in both pivot sets or in neither)."""
+    return frozenset(j for j, step in enumerate(psi(x).steps, 1)
+                     if step == "D" or step == "H" and j in x.pivots)
 
 
 def subspaces_with_paths(field, n, max_size=None, primary_only=False):
     """Yield (x, psi(x)) for every subspace x of F_q^n, in the order of
     :func:`qlattice.matspace.enumerate_subspaces` and under its ceiling.
 
-    The rows of a pivot cell are walked depth first over the same per-row
-    choices, and the mirror elimination of rows 1..i-1 is carried down to
-    every choice of row i, so each node reduces one row: scanning from the
-    right, it subtracts the carried row whose right pivot it meets until it
-    meets a column no carried row ends at, its right pivot.  The path is
-    read off the left and the right pivot sets; each distinct word is built
-    into one MotzkinPath.  With ``primary_only`` only the primaries come
-    out, the subspaces with L & R empty: a row whose right pivot is a left
-    pivot is skipped with its whole subtree, and the walk stops above
-    dimension n/2.
+    Each pivot cell's rows are walked depth first, and the reductions of
+    rows 1..i-1 are carried down to every choice of row i.  With
+    ``primary_only`` only the primaries come out, the subspaces with L & R
+    empty: a row whose right pivot is a left pivot is skipped with its
+    whole subtree, and the walk stops above dimension n/2.
     """
-    total = subspace_count(field.q, n)
-    _check_ceiling(total, max_size, f"F_{field.q}^{n} has {total} subspaces")
-    els = tuple(field.elements())
-    mul, sub, inv = field.mul, field.sub, field.inv
     paths = {}  # word -> MotzkinPath
-    for k in range(n // 2 + 1 if primary_only else n + 1):
-        for pivots in combinations(range(1, n + 1), k):
-            choices = [list(product(*(
-                (1,) if j == p else (0,) if j < p or j in pivots else els
-                for j in range(1, n + 1)))) for p in pivots]
-            left = sum(1 << (p - 1) for p in pivots)
-            # 0-based right pivot -> (carried row, inverse of its entry there)
-            carried = [None] * n
-            by_right = {}  # right pivot bitmask -> path, within this cell
+    for pivots, choices in _pivot_cells(field, n, max_size,
+                                        n // 2 if primary_only else n):
+        k = len(pivots)
+        left = sum(1 << (p - 1) for p in pivots)
+        carried = [None] * n
+        right_pivot = _row_step(field, carried)
+        by_right = {}  # right pivot bitmask -> path, within this cell
 
-            def right_pivot(row):
-                """(0-based right pivot, row reduced up to it) of a row
-                against the carried rows."""
-                r, t = row, n - 1
-                while True:
-                    while not r[t]:
-                        t -= 1
-                    hit = carried[t]
-                    if hit is None:
-                        return t, r
-                    prow, pinv = hit
-                    c = r[t] if pinv == 1 else mul(r[t], pinv)
-                    if r is row:
-                        r = list(row)
-                    r[t] = 0
-                    for s in range(t):
-                        if prow[s]:
-                            r[s] = sub(r[s], mul(c, prow[s]))
+        def path_of(right):
+            path = by_right.get(right)
+            if path is None:
+                path = by_right[right] = _pivot_path(left, right, n, paths)
+            return path
 
-            def path_of(right):
-                path = by_right.get(right)
-                if path is None:
-                    word = "".join(
-                        "H" if (left >> j & 1) == (right >> j & 1)
-                        else "U" if left >> j & 1 else "D"
-                        for j in range(n))
-                    if word not in paths:
-                        paths[word] = MotzkinPath(word)
-                    path = by_right[right] = paths[word]
-                return path
+        def prefixes(i, right):
+            """Set rows i..k-2 of ``head`` to each choice in turn and carry
+            their reductions; yield the right pivot bitmask of rows 0..k-2
+            once per prefix."""
+            if i == k - 1:
+                yield right
+                return
+            for row in choices[i]:
+                t, r = right_pivot(row)
+                if primary_only and left >> t & 1:
+                    continue
+                head[i] = row
+                carried[t] = (r, field.inv(r[t]))
+                yield from prefixes(i + 1, right | 1 << t)
+                carried[t] = None
 
-            def prefixes(i, right):
-                """Set rows i..k-2 of ``head`` to each choice in turn and
-                carry their reductions; yield the right pivot bitmask of
-                rows 0..k-2 once per prefix."""
-                if i == k - 1:
-                    yield right
-                    return
-                for row in choices[i]:
-                    t, r = right_pivot(row)
-                    if primary_only and left >> t & 1:
-                        continue
-                    head[i] = row
-                    carried[t] = (r, inv(r[t]))
-                    yield from prefixes(i + 1, right | 1 << t)
-                    carried[t] = None
-
-            if k == 0:
-                yield Rref(field, n, (), ()), path_of(0)
-                continue
-            # the last row is walked here, so no item passes through the
-            # nested generators
-            head = [None] * (k - 1)
-            for right in prefixes(0, 0):
-                rows = tuple(head)
-                for row in choices[k - 1]:
-                    t, _ = right_pivot(row)
-                    if primary_only and left >> t & 1:
-                        continue
-                    yield (Rref(field, n, rows + (row,), pivots),
-                           path_of(right | 1 << t))
+        if k == 0:
+            yield Rref(field, n, (), ()), path_of(0)
+            continue
+        # the last row is walked here, so no item passes through the nested
+        # generators
+        head = [None] * (k - 1)
+        for right in prefixes(0, 0):
+            rows = tuple(head)
+            for row in choices[k - 1]:
+                t, _ = right_pivot(row)
+                if primary_only and left >> t & 1:
+                    continue
+                yield (Rref(field, n, rows + (row,), pivots),
+                       path_of(right | 1 << t))
 
 
 def path_from_classification(x):
@@ -242,10 +248,7 @@ def path_from_classification(x):
 def is_primary(x):
     """True when no column is both pivotal and inessential; such rrefs are
     the block representatives of the Boolean decomposition."""
-    for j in x.pivots:
-        if not classify_column(x, j).essential:
-            return False
-    return True
+    return all(classify_column(x, j).essential for j in x.pivots)
 
 
 def set_and_subset(x):

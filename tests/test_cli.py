@@ -2,6 +2,7 @@ import argparse
 import importlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -200,18 +201,19 @@ def test_scd_output(capsys):
     assert "chain 1" in out
 
 
-ELIMINATION_PINS = [(("psi",), 2), (("psi", "--json"), 2),
-                    (("classify",), 2), (("classify", "--json"), 2)]
+ELIMINATION_PINS = [(("psi",), 1), (("psi", "--json"), 1),
+                    (("classify",), 1), (("classify", "--json"), 1)]
 
 
 @pytest.mark.parametrize("argv, eliminations", ELIMINATION_PINS,
                          ids=[" ".join(argv) for argv, _ in ELIMINATION_PINS])
 def test_lattice_commands_eliminate_once_per_column(
         capsys, monkeypatch, tmp_path, argv, eliminations):
-    """On the 8-column q=3 golden file: one elimination for the rref and
-    one pivot pass (psi), whatever the number of columns; the path, both
-    pivot sets and the column classes are all read off that pass.  The ids
-    name the command only, so tightening a pin renames no test."""
+    """On the 8-column q=3 golden file: one elimination, for the rref,
+    whatever the number of columns; the one pivot pass (psi) runs the walk's
+    row step, and the path, both pivot sets and the column classes are all
+    read off it.  The ids name the command only, so tightening a pin
+    renames no test."""
     lattice = json.loads((Path(__file__).parent / "golden_lattice.json")
                          .read_text())
     path = tmp_path / "q3-eight"
@@ -278,6 +280,29 @@ def test_paths_respects_the_ceiling(capsys, monkeypatch):
     assert code == 2 and "above the ceiling 20" in err
     code, out, _ = run(capsys, "paths", "--n", "5", "--max-size", "21")
     assert code == 0 and len(out.split()) == 21
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("paths",), "at least 2^63 paths of length 100000"),
+    (("involutions",), "at least 2^63 involutions on [100000]"),
+    (("identity", "ds"), "at least 2^63 involutions on [100000]"),
+    (("sbd", "--q", "2"), "F_2^100000 has at least 2^63 subspaces"),
+    (("scd", "--q", "2"), "F_2^100000 has at least 2^63 subspaces"),
+    (("census", "--q", "9"), "F_9^100000 has at least 2^63 subspaces")],
+    ids=["paths", "involutions", "identity-ds", "sbd", "scd", "census"])
+def test_a_huge_enumeration_is_refused_at_once(argv, what):
+    """The count stops once it is past the ceiling and 2^63, so a huge n
+    is refused within the timeout instead of being counted in full."""
+    env = dict(os.environ)
+    env.pop("QLATTICE_MAX_SIZE", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "qlattice", *argv,
+                           "--n", "100000"], env=env, capture_output=True,
+                          text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {what}, above the ceiling 500000\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_FIELDS, gamma, sample_subspace, subspaces
-from qlattice import (Rref, TooLargeError, boolean_block, bracket_chain,
+from qlattice import (MotzkinPath, Rref, TooLargeError, boolean_block,
                       bracket_chains, bracket_cover, classify_column, del_col,
                       del_set, enumerate_subspaces, fiber_census, full_space,
                       gamma_inv, gf, ins_col, ins_set, is_primary,
                       left_pivots, mu, mu_inv, path_from_classification, phi,
                       phi_inv, psi, sbd, scd, scd_cover, section_ranks,
                       set_and_subset, span, subspace_count, subspace_leq,
-                      zero_subspace)
+                      subspaces_with_paths, zero_subspace)
 from qlattice import decomp, identities
 from qlattice.acceptance import _eight_col_rref
 from qlattice.decomp import _inverse_update_row
@@ -334,9 +334,6 @@ def test_bracket_chains_partition_symmetric_saturated():
             for s in chain:
                 assert s not in seen
                 seen.add(s)
-            # every member generates the same chain
-            for s in chain:
-                assert bracket_chain(ground, s) == chain
         assert len(seen) == 2**size
 
 
@@ -513,6 +510,22 @@ def test_bulk_commands_run_no_pivot_pass_per_subspace(monkeypatch):
     assert sum(blk.size for blk in sbd(F3, 4)) == total
     assert scd(F3, 4).size == total
     assert sum(row.fiber_size for row in fiber_census(F3, 4)) == total
+
+
+def test_scd_reads_each_ground_set_once(monkeypatch):
+    """A block keeps its ground set, so scd builds the H steps of each
+    block's path once."""
+    blocks = sum(1 for _ in subspaces_with_paths(F2, 5, primary_only=True))
+    reads = []
+    real = MotzkinPath.horizontals.fget
+
+    def counting(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(MotzkinPath, "horizontals", property(counting))
+    assert scd(F2, 5).size == subspace_count(2, 5)
+    assert len(reads) == blocks
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS)

@@ -83,7 +83,7 @@ def test_psi_keeps_its_path_and_classify_reuses_it(monkeypatch):
     def refuse(*args):
         raise AssertionError("no second pivot pass")
 
-    monkeypatch.setattr(psi_mod, "right_pivots", refuse)
+    monkeypatch.setattr(psi_mod, "_row_step", refuse)
     monkeypatch.setattr(psi_mod, "is_valid_rref", refuse)
     assert psi(x) is path
     assert (set_and_subset(x), classify_columns(x)) == expected

@@ -52,6 +52,8 @@ def test_enumeration_counts():
     expected = [1, 1, 2, 4, 9, 21, 51, 127, 323]
     for n in range(9):
         assert motzkin_number(n) == expected[n] == motzkin_oracle(n)
+    for n in (45, 200):
+        assert motzkin_number(n) == motzkin_oracle(n)
     for n in range(7):
         assert sum(1 for _ in enumerate_paths(n)) == expected[n]
     assert [p.steps for p in enumerate_paths(0)] == [""]
@@ -63,6 +65,21 @@ def test_enumeration_ceiling_raises_before_the_first_path():
         next(paths)
     assert str(exc.value) == "15511 paths of length 12, above the ceiling 100"
     assert sum(1 for _ in enumerate_paths(12, max_size=15511)) == 15511
+
+
+def test_a_count_past_2_63_is_refused_unfinished():
+    """M(44) < 2^63 <= M(45): from there on a count past the ceiling is
+    left unfinished, and the message gives it as at least 2^63."""
+    assert motzkin_number(44) < 2**63 <= motzkin_number(45)
+    with pytest.raises(TooLargeError) as exc:
+        next(enumerate_paths(44, max_size=100))
+    assert str(exc.value) == (f"{motzkin_number(44)} paths of length 44, "
+                              "above the ceiling 100")
+    for n, limit in ((45, 100), (10**9, 100), (100, 2**64)):
+        with pytest.raises(TooLargeError) as exc:
+            next(enumerate_paths(n, max_size=limit))
+        assert str(exc.value) == (f"at least 2^63 paths of length {n}, "
+                                  f"above the ceiling {limit}")
 
 
 def test_step_weights():

@@ -167,11 +167,15 @@ WALK_N = {2: 6, 3: 4}
 def test_walk_is_psi_over_the_enumeration(q):
     """The walk yields (x, psi(x)) in enumeration order, and the pruned walk
     exactly the primaries: dimension at most n/2 and equal to the down
-    count of the path."""
+    count of the path.  psi shares the walk's row step, so the path is also
+    checked against the section route, which does not."""
     field = gf(q)
     for n in range(WALK_N.get(q, 3) + 1):
         expected = [(x, psi(x)) for x in enumerate_subspaces(field, n)]
-        assert list(subspaces_with_paths(field, n)) == expected
+        walked = list(subspaces_with_paths(field, n))
+        assert walked == expected
+        assert [p for _, p in walked] == [
+            path_from_classification(x) for x, _ in walked]
         assert list(subspaces_with_paths(field, n, primary_only=True)) == [
             (x, p) for x, p in expected
             if 2 * x.dim <= n and p.down_count == x.dim]
