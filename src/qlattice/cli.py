@@ -8,7 +8,9 @@ also takes --csv, and with --json reports a violated invariant as the object
 {"ok": false, "counterexample": ...} on stdout as well.  The six commands
 that enumerate (paths, involutions, sbd, scd, census, identity) take
 --max-size, which like QLATTICE_MAX_SIZE overrides the enumeration ceiling;
-identity fs enumerates nothing.
+identity fs enumerates nothing.  Every command but sbd, scd and census builds
+its text and JSON forms and prints one through ``_emit``; those three keep
+their own print loops, so a bulk result is formatted in one form only.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .identities import fiber_census, verify_ds, verify_fs
 from .involution import biane, enumerate_involutions, parse_involution
 from .matspace import format_matrix, parse_matrix, rref_left
 from .motzkin import MotzkinPath, enumerate_paths
-from .psi import _column_classes, psi, right_pivots, set_and_subset
+from .psi import classify_columns, psi, right_pivots, set_and_subset
 
 
 def _max_size(args):
@@ -94,8 +96,12 @@ def _columns_payload(classes):
             for j, c in enumerate(classes, start=1)]
 
 
-def _rref_text(x):
-    return ";".join(",".join(map(str, row)) for row in x.rows) or "-"
+def _rref_text(x, texts):
+    """The rows of x as "1,0;0,1", or "-" for none.  ``texts`` keeps each
+    distinct row's text: the members of a decomposition share few rows."""
+    return ";".join([
+        texts.get(r) or texts.setdefault(r, ",".join(map(str, r)))
+        for r in x.rows]) or "-"
 
 
 def _cmd_psi(args):
@@ -103,28 +109,22 @@ def _cmd_psi(args):
     path = psi(x)
     ground, inl = map(sorted, set_and_subset(x))
     right = sorted(right_pivots(x))
-    classes = _column_classes(x, path)
-    if args.json:
-        print(json.dumps({
-            "path": path.steps, "left_pivots": list(x.pivots),
-            "right_pivots": right, "set": ground, "subset": inl,
-            "columns": _columns_payload(classes)}))
-    else:
-        print("\n".join([f"path    {path.steps}",
-                         f"L       {list(x.pivots)}", f"R       {right}",
-                         f"set     {ground}", f"subset  {inl}",
-                         *_classification_lines(path, classes)]))
+    classes = classify_columns(x)
+    _emit(args, {"path": path.steps, "left_pivots": list(x.pivots),
+                 "right_pivots": right, "set": ground, "subset": inl,
+                 "columns": _columns_payload(classes)},
+          "\n".join([f"path    {path.steps}", f"L       {list(x.pivots)}",
+                     f"R       {right}", f"set     {ground}",
+                     f"subset  {inl}",
+                     *_classification_lines(path, classes)]))
     return 0
 
 
 def _cmd_classify(args):
     x = _load_rref(args)
-    path = psi(x)
-    classes = _column_classes(x, path)
-    if args.json:
-        print(json.dumps({"columns": _columns_payload(classes)}))
-    else:
-        print("\n".join(_classification_lines(path, classes)))
+    classes = classify_columns(x)
+    _emit(args, {"columns": _columns_payload(classes)},
+          "\n".join(_classification_lines(psi(x), classes)))
     return 0
 
 
@@ -137,9 +137,11 @@ def _cmd_sbd(args):
                            "set": list(b.ground),
                            "members": b.size} for b in blocks]))
     else:
+        texts = {}
         for b in blocks:
             print(f"{b.path.steps or '-'} members={b.size} "
-                  f"set={sorted(b.ground)} primary=[{_rref_text(b.primary)}]")
+                  f"set={sorted(b.ground)} "
+                  f"primary=[{_rref_text(b.primary, texts)}]")
     return 0
 
 
@@ -152,15 +154,11 @@ def _cmd_scd(args):
         print(json.dumps({"q": args.q, "n": args.n,
                           "chains": payload}))
     else:
-        # the chains share few distinct rows, so each is formatted once
         texts = {}
         for i, chain in enumerate(dec.chains, start=1):
             print(f"chain {i} (ranks {chain[0].dim}..{chain[-1].dim})")
             for x in chain:
-                line = ";".join([
-                    texts.get(r) or texts.setdefault(r, ",".join(map(str, r)))
-                    for r in x.rows]) or "-"
-                print(f"  [{line}]")
+                print(f"  [{_rref_text(x, texts)}]")
     return 0
 
 
@@ -180,14 +178,12 @@ def _cmd_cover(args):
 def _cmd_identity(args):
     report = (verify_fs(args.n, k=args.k) if args.which == "fs"
               else verify_ds(args.n, _max_size(args), k=args.k))
-    if args.json:
-        print(json.dumps(report))
-    else:
-        at = f" k={args.k}" if args.k is not None else ""
-        print(f"{args.which} n={args.n}{at}: "
-              f"{'ok' if report['ok'] else 'MISMATCH'}")
-        if not report["ok"]:
-            print(f"counterexample: {report['counterexample']}")
+    at = f" k={args.k}" if args.k is not None else ""
+    lines = [f"{args.which} n={args.n}{at}: "
+             f"{'ok' if report['ok'] else 'MISMATCH'}"]
+    if not report["ok"]:
+        lines.append(f"counterexample: {report['counterexample']}")
+    _emit(args, report, "\n".join(lines))
     return 0 if report["ok"] else 1
 
 
@@ -225,14 +221,9 @@ def _cmd_census(args):
 def _cmd_selftest(args):
     # timings are excluded so the output is identical across runs
     results = acceptance.run_acceptance(keys=args.only, seed=args.seed)
-    if args.json:
-        print(json.dumps([{
-            "key": r.key, "description": r.description, "ok": r.ok,
-            "detail": r.detail,
-        } for r in results]))
-    else:
-        for r in results:
-            print(r.line(with_time=False))
+    _emit(args, [{"key": r.key, "description": r.description, "ok": r.ok,
+                  "detail": r.detail} for r in results],
+          "\n".join(r.line(with_time=False) for r in results))
     return 0 if all(r.ok for r in results) else 1
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import re
 
 from .errors import _check_ceiling
-from .motzkin import MotzkinPath, down_height_product
+from .motzkin import MotzkinPath, _down_height_products
 
 _CYCLE_RE = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]")
 
@@ -131,8 +131,9 @@ def biane_fiber(p):
     in turn.  Sorted by cycles, which is the order of
     :func:`enumerate_involutions`.  The count is the product of down-step
     heights, held to the size ceiling."""
-    _check_ceiling([down_height_product(p)], None,
-                   lambda total: f"{total} involutions over {p}")
+    _check_ceiling(_down_height_products(p), None,
+                   lambda total: f"{total} involutions over a path of "
+                                 f"length {len(p)}")
     partial = [((), ())]  # (closed 2-cycles, open initial points)
     for j, step in enumerate(p.steps, 1):
         if step == "U":

@@ -63,17 +63,6 @@ class Rref:
     rows: tuple
     pivots: tuple
 
-    def __init__(self, field, n, rows, pivots):
-        # The dataclass keeps this in place of its generated frozen
-        # __init__, which looks object.__setattr__ up again for each field.
-        # Stores through self.__dict__ would be faster still, but would
-        # build a dict for every Rref, not only for the memoised ones.
-        setattr_ = object.__setattr__
-        setattr_(self, "field", field)
-        setattr_(self, "n", n)
-        setattr_(self, "rows", rows)
-        setattr_(self, "pivots", pivots)
-
     @property
     def dim(self):
         return len(self.rows)

@@ -149,15 +149,18 @@ def motzkin_number(n):
     return max(_motzkin_numbers(n))
 
 
-def down_height_product(p):
-    """Product over down steps of their starting heights; the size of the
-    matching-involution fiber over p."""
+def _down_height_products(p):
+    """1, then the running product of the down steps' starting heights;
+    nondecreasing, since a down step starts at height >= 1."""
     out = 1
-    h = 0
-    for ch in p.steps:
-        if ch == "U":
-            h += 1
-        elif ch == "D":
+    yield out
+    for ch, h in zip(p.steps, p.heights):  # h is the height before ch
+        if ch == "D":
             out *= h
-            h -= 1
-    return out
+            yield out
+
+
+def down_height_product(p):
+    """Product over down steps of their starting heights, the size of the
+    matching-involution fiber over p: the last running product."""
+    return max(_down_height_products(p))

@@ -45,8 +45,8 @@ def section(x, j):
 
 
 def section_rank(x, j):
-    m = bisect_right(x.pivots, j)
-    return rank_of(x.field, [row[j:] for row in x.rows[:m]], x.n - j)
+    s = section(x, j)
+    return rank_of(s.field, s.rows, s.n)
 
 
 def section_ranks(x):
@@ -84,16 +84,11 @@ def classify_column(x, j):
     return column_elimination(x, j)[0]
 
 
-def _column_classes(x, path):
-    """Classes of the columns of x read off its path: pivotal at a left
-    pivot, inessential at an H step."""
-    return tuple(ColumnClass(j in x.pivots, step != "H")
-                 for j, step in enumerate(path.steps, start=1))
-
-
 def classify_columns(x):
-    """Classes of the columns of x from one pivot pass."""
-    return _column_classes(x, psi(x))
+    """Classes of the columns of x read off its path, one pivot pass:
+    pivotal at a left pivot, inessential at an H step."""
+    return tuple(ColumnClass(j in x.pivots, step != "H")
+                 for j, step in enumerate(psi(x).steps, start=1))
 
 
 def _row_step(field, carried):

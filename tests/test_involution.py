@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qlattice import (Involution, MotzkinPath, QPoly, TooLargeError, biane,
@@ -90,6 +95,27 @@ def test_fiber_is_built_past_the_involution_ceiling():
         [Involution(13, ((1, 2),))]
     with pytest.raises(TooLargeError, match="3628800 involutions over"):
         biane_fiber(MotzkinPath("U" * 10 + "D" * 10))
+
+
+def test_a_huge_fiber_is_refused_at_once_in_one_short_line():
+    """The running height product stops once it is past the ceiling and
+    2^63, and the message names the path by its length, not its steps."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    script = ("from qlattice import MotzkinPath, TooLargeError, biane_fiber\n"
+              "try:\n"
+              "    biane_fiber(MotzkinPath('U' * 50000 + 'D' * 50000))\n"
+              "except TooLargeError as exc:\n"
+              "    print(exc)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stderr) == (0, "")
+    message = done.stdout.rstrip("\n")
+    assert len(message) < 200
+    assert message == ("at least 2^63 involutions over a path of length "
+                       "100000, above the ceiling 500000")
 
 
 def test_fibers_partition_and_match_height_products():

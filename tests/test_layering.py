@@ -1,8 +1,9 @@
 """The path and involution layers never reach into the subspace lattice:
 algebra, errors, motzkin and involution import none of matspace, psi and
-decomp, so the expansion identities run without a lattice call.  The public
-surface is exactly ``qlattice.__all__``: every listed name resolves, and
-every public name the package binds is listed."""
+decomp, so the expansion identities run without a lattice call.  The command
+line imports only public names of the package.  The public surface is
+exactly ``qlattice.__all__``: every listed name resolves, and every public
+name the package binds is listed."""
 
 import ast
 import types
@@ -46,6 +47,15 @@ def test_path_layers_import_no_lattice_module(module):
 def test_the_scan_sees_lattice_imports():
     assert {"matspace", "psi", "motzkin"} <= imported_modules(
         SRC / "decomp.py")
+
+
+def test_the_cli_imports_no_private_name():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("qlattice"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_every_export_resolves():

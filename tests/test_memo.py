@@ -109,6 +109,24 @@ def test_the_memo_stays_invisible(q):
     assert covers
 
 
+def test_an_rref_is_a_frozen_value():
+    """The generated constructor takes keywords and fields cannot be set;
+    equality, hashing and repr read the four fields, before and after psi
+    keeps its path on the Rref."""
+    x = Rref(field=F3, n=4, rows=((1, 0, 2, 0), (0, 1, 1, 0)), pivots=(1, 2))
+    y = Rref(F3, 4, ((1, 0, 2, 0), (0, 1, 1, 0)), (1, 2))
+    for name in ("field", "n", "rows", "pivots"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, None)
+    text = ("Rref(field=GF(3), n=4, rows=((1, 0, 2, 0), (0, 1, 1, 0)), "
+            "pivots=(1, 2))")
+    assert x == y and hash(x) == hash(y) and repr(x) == text
+    psi(x)
+    assert "_path" in vars(x) and "_path" not in vars(y)
+    assert x == y and hash(x) == hash(y) and repr(x) == text
+    assert x != Rref(F3, 4, ((1, 0, 2, 0),), (1,))
+
+
 def test_psi_refuses_an_invalid_rref_once_for_every_reader():
     """A caller's Rref is checked on the first pivot pass, so psi and every
     reader built on it raise ValueError, pivots out of range included."""
