@@ -28,26 +28,25 @@ phi and no :func:`qlattice.matspace._eliminate`; the general route serves
 every other field and is the reference the kernel is tested against.
 Deletion takes the general route at every q.
 
-A block member ins_set(x, S) is built from the member at S - {min S} by
-one insertion, the last step ins_set itself takes, so a block costs one
-insertion per member besides its primary, paid on the first read of its
-members.  A primary is a subspace whose dimension equals the down count of
-its path, that is one with no column in L & R, and its ground set is the H
-steps of that path.  Both decompositions take each block's primary and
-path from the walk :func:`qlattice.psi.subspaces_with_paths` with the
-non-primaries pruned.
+The chains of a block are the bracket chains of its ground set (Greene and
+Kleitman, JCTA 1976), built by the recursion of de Bruijn, van Ebbenhorst
+Tengbergen and Kruyswijk (1951) on the least ground column g
+(:func:`_chains`): each chain over the rest of the ground set gives one
+chain through g and, when it is longer than one, one chain without its
+minimum.  The member at the set S is one insertion of min S into the member
+at S - {min S}, the last step ins_set itself takes, so a block costs one
+insertion per member besides its primary.  A primary is a subspace whose
+dimension equals the down count of its path, that is one with no column in
+L & R, and its ground set is the H steps of that path.  Both decompositions
+take each block's primary and path from the walk
+:func:`qlattice.psi.subspaces_with_paths` with the non-primaries pruned.
 
 A single cover step, :func:`scd_cover`, stays inside one block: the
 cover of ins_set(p, I) is ins_set(p, I + {j}), so it is built from the
 primary p by insertions alone, and p and the path are handed on in the
 cover's memo (see :class:`qlattice.matspace.Rref`).  Deletion finds p only
-for a subspace that carries no memo, at the first step of a chain.
-
-Bracket matching convention: inside the ground set J, an element of I reads
-")" and an element of J - I reads "("; adjacent pairs are matched
-iteratively.  The chain through I varies the unmatched positions, filling
-them from the left, so the covering move turns the leftmost unmatched "("
-into a member, and I is a chain top exactly when no unmatched "(" remains.
+for a subspace that carries no memo, at the first step of a chain.  Only
+this step scans the bracket word, in :func:`bracket_cover`.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .matspace import Mat, Rref, left_pivots
 from .motzkin import MotzkinPath
@@ -307,16 +305,13 @@ class BooleanBlock:
     @cached_property
     def members(self):
         """frozenset of columns -> Rref, ins_set(primary, S) for every
-        subset S of the ground set, by size and then lexicographically.
-        Each member is one insertion of min S into the member at
-        S - {min S}, which is the last step of ins_set."""
-        ground = self.ground
-        members = {frozenset(): self.primary}
-        for size in range(1, len(ground) + 1):
-            for cols in combinations(ground, size):
-                members[frozenset(cols)] = ins_col(
-                    members[frozenset(cols[1:])], cols[0])
-        return members
+        subset S of the ground set, by size and then lexicographically: the
+        members of the block's bracket chains (see :func:`_chains`)."""
+        ground = frozenset(self.ground)
+        chains = _chains(self.primary, self.ground, ins_col)
+        return {ground.intersection(y.pivots): y for y in
+                sorted((y for chain in chains for y in chain),
+                       key=lambda y: (y.dim, y.pivots))}
 
     @property
     def size(self):
@@ -349,48 +344,58 @@ def sbd(field, n, max_size=None):
             subspaces_with_paths(field, n, max_size, primary_only=True)]
 
 
-def _bracket_scan(ground, members):
-    """Unmatched positions of the bracket word of ``members`` inside the
-    sorted ground set: (unmatched ')' positions, unmatched '(' positions),
-    both increasing, the former all before the latter."""
-    close, stack = [], []
-    for pos in ground:
-        if pos in members:
-            if stack:
-                stack.pop()
-            else:
-                close.append(pos)
-        else:
-            stack.append(pos)
-    return close, stack
+def _chains(bottom, ground, insert):
+    """The bracket chains over the increasing ``ground``, each from its
+    minimum, in the recursion's order: ``bottom`` is the member at the empty
+    set and ``insert(a, g)`` the member at A + {g} from the member a at A,
+    g < min A.  A chain A_0 < ... < A_r over the ground above g gives
+    A_0 < A_0+g < ... < A_r+g and, when r > 0, A_1 < ... < A_r."""
+    chains = [[bottom]]
+    for g in reversed(ground):
+        grown = []
+        for chain in chains:
+            grown.append([chain[0], *(insert(a, g) for a in chain)])
+            if len(chain) > 1:
+                grown.append(chain[1:])
+        chains = grown
+    return chains
+
+
+def _sorted_ground(ground):
+    """The ground set, increasing and as a set; ValueError on a repeat."""
+    ground = sorted(ground)
+    elements = set(ground)
+    if len(elements) != len(ground):
+        raise ValueError(f"ground set {ground} has a repeated element")
+    return ground, elements
 
 
 def bracket_cover(ground, members):
     """The element whose insertion covers ``members`` inside the
     bracket-matching chain decomposition of the subsets of ``ground``, or
-    None when ``members`` is a chain top."""
-    ground = sorted(ground)
+    None when ``members`` is a chain top: the leftmost unmatched "(" of the
+    word over the sorted ground set where a member reads ")" and any other
+    element "(", with adjacent pairs matched iteratively."""
+    ground, elements = _sorted_ground(ground)
     members = frozenset(members)
-    if not members <= set(ground):
+    if not members <= elements:
         raise ValueError("members must be a subset of the ground set")
-    _, stack = _bracket_scan(ground, members)
-    return stack[0] if stack else None
+    unmatched = []
+    for pos in ground:
+        if pos not in members:
+            unmatched.append(pos)
+        elif unmatched:
+            unmatched.pop()
+    return unmatched[0] if unmatched else None
 
 
 def bracket_chains(ground):
     """All chains of the bracket-matching decomposition of the subsets of
-    ``ground``, each listed from its minimum; the chains partition the
-    subset lattice."""
-    ground = sorted(ground)
-    chains = []
-    for size in range(len(ground) + 1):
-        for cols in combinations(ground, size):
-            members = frozenset(cols)
-            close, stack = _bracket_scan(ground, members)
-            if not close:  # a chain minimum: fill its unmatched "(" in order
-                chains.append([members.union(stack[:t])
-                               for t in range(len(stack) + 1)])
-    return chains
+    ``ground``, each listed from its minimum, the minima by size and then
+    lexicographically; the chains partition the subset lattice."""
+    ground, _ = _sorted_ground(ground)
+    chains = _chains(frozenset(), ground, lambda a, g: a | {g})
+    return sorted(chains, key=lambda chain: (len(chain[0]), sorted(chain[0])))
 
 
 def scd_cover(x):
@@ -437,13 +442,11 @@ class ChainDecomposition:
 def scd(field, n, max_size=None):
     """The symmetric chain decomposition of the subspace lattice of F_q^n,
     obtained by transporting the bracket chains of every Boolean block
-    through the insertion maps: each chain member at the set S is the block
-    member ins_set(primary, S), read from the block's incrementally built
-    member map.  Each block is dropped once its chains are read."""
+    through the insertion maps: :func:`_chains` builds each block's chains
+    from its primary, and they are listed with their minima by size and then
+    lexicographically, that is by dimension and then pivots."""
     chains = []
     for x, path in subspaces_with_paths(field, n, max_size, primary_only=True):
-        block = BooleanBlock(x, path)
-        members = block.members
-        chains.extend([members[cols] for cols in sets]
-                      for sets in bracket_chains(block.ground))
+        chains += sorted(_chains(x, path.horizontals, ins_col),
+                         key=lambda chain: (chain[0].dim, chain[0].pivots))
     return ChainDecomposition(field, n, chains)

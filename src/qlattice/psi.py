@@ -40,6 +40,8 @@ from .motzkin import MotzkinPath
 
 def section(x, j):
     """The section of the rref x at column j, 0 <= j <= n."""
+    if not 0 <= j <= x.n:
+        raise ValueError(f"column {j} outside [0, {x.n}]")
     m = bisect_right(x.pivots, j)  # pivots at or before j
     return Mat(x.field, x.n - j, tuple(row[j:] for row in x.rows[:m]))
 

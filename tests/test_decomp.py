@@ -320,9 +320,43 @@ def test_bracket_chains_frozen_three_elements():
     ])
 
 
+def test_bracket_chains_frozen_four_elements_in_order():
+    """The chains of a four-element ground, in their exact order: minima by
+    size, then lexicographically."""
+    chains = bracket_chains((1, 2, 3, 4))
+    assert [[sorted(s) for s in chain] for chain in chains] == [
+        [[], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4]],
+        [[2], [2, 3], [2, 3, 4]],
+        [[3], [1, 3], [1, 3, 4]],
+        [[4], [1, 4], [1, 2, 4]],
+        [[2, 4]],
+        [[3, 4]],
+    ]
+
+
+def test_bracket_chains_minima_by_size_then_lexicographically():
+    for size in range(9):
+        keys = [(len(chain[0]), sorted(chain[0]))
+                for chain in bracket_chains(range(1, size + 1))]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_bracket_moves_refuse_a_repeated_ground_element():
+    with pytest.raises(ValueError, match="repeated"):
+        bracket_chains((1, 1))
+    with pytest.raises(ValueError, match="repeated"):
+        bracket_chains((3, 1, 2, 3))
+    with pytest.raises(ValueError, match="repeated"):
+        bracket_cover((2, 2), (2,))
+    with pytest.raises(ValueError, match="repeated"):
+        bracket_cover((1, 4, 1), ())
+
+
 def test_bracket_chains_partition_symmetric_saturated():
-    for size in range(7):
-        ground = tuple(range(1, size + 1))
+    grounds = [tuple(range(1, size + 1)) for size in range(11)]
+    grounds += [(2, 5, 7, 11), (3, 4, 9), (1, 6, 8, 10, 13, 20)]
+    for ground in grounds:
+        size = len(ground)
         chains = bracket_chains(ground)
         seen = set()
         for chain in chains:
@@ -526,6 +560,26 @@ def test_scd_reads_each_ground_set_once(monkeypatch):
     monkeypatch.setattr(MotzkinPath, "horizontals", property(counting))
     assert scd(F2, 5).size == subspace_count(2, 5)
     assert len(reads) == blocks
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_scd_inserts_once_per_non_primary_member(q, monkeypatch):
+    """scd builds every member but the primaries by exactly one ins_col
+    call: G_q(n) minus the number of primaries."""
+    n = {2: 6, 3: 4, 4: 4}.get(q, 3)
+    field = gf(q)
+    calls = []
+    real_ins_col = decomp.ins_col
+
+    def counting_ins_col(x, j):
+        calls.append(j)
+        return real_ins_col(x, j)
+
+    monkeypatch.setattr(decomp, "ins_col", counting_ins_col)
+    primaries = sum(1 for _ in subspaces_with_paths(field, n,
+                                                    primary_only=True))
+    assert scd(field, n).size == subspace_count(q, n)
+    assert len(calls) == subspace_count(q, n) - primaries
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS)

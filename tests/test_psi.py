@@ -25,6 +25,15 @@ def test_section_shapes_and_edges():
     assert section_rank(x, 0) == 0 and section_rank(x, 2) == 0
 
 
+def test_section_refuses_a_column_outside_the_range():
+    x = span(F2, [(1, 0, 1)], 3)
+    for j in (-1, 4, 5, 7):
+        with pytest.raises(ValueError, match=rf"column {j} outside \[0, 3\]"):
+            section(x, j)
+        with pytest.raises(ValueError, match=rf"column {j} outside \[0, 3\]"):
+            section_rank(x, j)
+
+
 def test_section_ranks_of_eight_column_family():
     for q in (2, 3):
         field = gf(q)
