@@ -8,10 +8,11 @@ path-preserving); their multi-column iterates; the Boolean block spanned by
 a primary rref; and the chain decomposition obtained by transporting the
 bracket-matching chains of a finite Boolean algebra through the insertions.
 
-Over any field, insertion and deletion take their guard, the lexically
-first basis of the section and every coordinate they need from the one
-forward elimination that classifies the column
-(:func:`qlattice.psi.column_elimination`).  Insertion needs only the row
+Over any field, insertion and deletion take their guard and the lexically
+first basis of the section from the one forward elimination that
+classifies the column (:func:`qlattice.psi.column_elimination`).  Deletion
+reads the coordinates of the section rows in that basis from
+:func:`qlattice.matspace.express_in_rows`.  Insertion needs only the row
 c (I + b^T c)^-1, which by Sherman-Morrison is the scalar multiple
 c / (1 + b . c^T); :func:`gamma_inv` remains as the reference matrix it is
 tested against.
@@ -55,7 +56,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matspace import Mat, Rref, left_pivots
+from .matspace import Mat, Rref, express_in_rows, left_pivots
 from .motzkin import MotzkinPath
 from .psi import column_elimination, psi, subspaces_with_paths
 
@@ -149,19 +150,22 @@ def del_col(x, j):
     spans a codimension-1 subspace of x with the pivot at j gone and the
     same Motzkin path.  Each row u above the pivot row gains alpha_u .
     phi^-1(c) times it, where c and alpha_u are the coordinates of the pivot
-    row's tail and of row u in the section's lexically first basis."""
+    row's tail and of row u's tail in the section's lexically first basis,
+    the rows kept by the guard's elimination (:func:`express_in_rows`)."""
     cls, m, e = column_elimination(x, j)
     if not (cls.pivotal and not cls.essential):
         raise ValueError(
             f"column {j} is not pivotal and inessential; cannot delete")
-    f = x.field
-    b = phi_inv(f, e.coefficients(m - 1))
+    f, w = x.field, x.n - j
+    tails = [row[j:] for row in x.rows[:m]]
+    basis = [tails[i] for i in e.kept]
+    b = phi_inv(f, express_in_rows(f, basis, tails[m - 1], w))
     add, mul = f.add, f.mul
     rows = [list(r) for r in x.rows]
     prow = rows.pop(m - 1)
-    for u, rl in enumerate(rows[:m - 1]):
+    for rl, tail in zip(rows[:m - 1], tails):
         dl = 0
-        for coef, bv in zip(e.coefficients(u), b):
+        for coef, bv in zip(express_in_rows(f, basis, tail, w), b):
             dl = add(dl, mul(coef, bv))
         if dl:
             for t in range(j - 1, x.n):

@@ -5,9 +5,12 @@ any spanning matrix, so equality of subspaces is structural equality of
 :class:`Rref` values.  Column indices are 1-based throughout; the zero
 subspace is the 0 x n empty rref.
 
-Every left-to-right row reduction is one forward pass, :func:`_eliminate`;
-the rref, the rank, the lexically first basis and coordinates are read from
-it (the right pivots are read off the path, see :mod:`qlattice.psi`).
+Every left-to-right row reduction is one forward pass, :func:`_eliminate`,
+which records the kept rows, reduced, and their pivots and nothing else.
+The rref, the rank and the lexically first basis are read from it, and
+:func:`express_in_rows` finds coordinates by one such pass over the rows
+with a unit block appended (the right pivots are read off the path, see
+:mod:`qlattice.psi`).
 Containment in a subspace needs no elimination: :func:`subspace_leq` reduces
 each row against the rows of the given rref, which are already reduced.
 
@@ -77,36 +80,11 @@ class Elimination(NamedTuple):
     """What one forward elimination found, all in input order: ``kept``,
     the 0-based positions of the kept input rows; ``rows``, their reduced
     forms, with leading entry 1 and zero at the pivots of earlier kept rows;
-    ``pivots``, the 1-based columns of the leading entries; ``steps``, per
-    input row, the pairs (k, c) of every nonzero multiple c of reduced row k
-    subtracted from it; ``scales``, per kept row, the inverse of its leading
-    entry."""
+    ``pivots``, the 1-based columns of the leading entries."""
 
-    field: GF
     kept: list
     rows: list
     pivots: list
-    steps: list
-    scales: list
-
-    def coefficients(self, i):
-        """Coefficients over the kept input rows that give input row i, a
-        unit vector for a kept row.  With row i = sum(d_k reduced_k) and
-        reduced_k = s_k (input_k - sum(e_kt reduced_t)), t < k, taking k
-        from last to first, input_k gets d_k s_k and d_t -= d_k s_k e_kt."""
-        d = [0] * len(self.kept)
-        if i in self.kept:
-            d[self.kept.index(i)] = 1
-            return tuple(d)
-        for k, c in self.steps[i]:
-            d[k] = c
-        mul, sub = self.field.mul, self.field.sub
-        for k in reversed(range(len(d))):
-            a = d[k] = mul(d[k], self.scales[k])
-            if a:
-                for t, e in self.steps[self.kept[k]]:
-                    d[t] = sub(d[t], mul(a, e))
-        return tuple(d)
 
 
 def _eliminate(field, rows, n):
@@ -114,33 +92,27 @@ def _eliminate(field, rows, n):
     against the rows kept so far and kept when something is left.  The one
     row-reduction loop of the library; does not modify its input."""
     mul, sub, inv = field.mul, field.sub, field.inv
-    kept, reduced, pivots, steps, scales = [], [], [], [], []
+    kept, reduced, pivots = [], [], []
     for idx, row in enumerate(rows):
         r = list(row)
-        step = []
-        for k, pc in enumerate(pivots):
+        for pc, pr in zip(pivots, reduced):
             c = r[pc]
             if c:
-                step.append((k, c))
-                pr = reduced[k]
                 for t in range(pc, n):
                     r[t] = sub(r[t], mul(c, pr[t]))
-        steps.append(step)
         for pc in range(n):
             if r[pc]:
                 break
         else:
             continue
-        ai = 1 if r[pc] == 1 else inv(r[pc])
-        if ai != 1:
+        if r[pc] != 1:
+            ai = inv(r[pc])
             for t in range(pc, n):
                 r[t] = mul(ai, r[t])
         kept.append(idx)
         reduced.append(r)
         pivots.append(pc)
-        scales.append(ai)
-    return Elimination(field, kept, reduced, [p + 1 for p in pivots], steps,
-                       scales)
+    return Elimination(kept, reduced, [p + 1 for p in pivots])
 
 
 def rref_left(m):
@@ -312,11 +284,22 @@ def lexically_first_basis(field, rows, n):
 
 
 def express_in_rows(field, basis_rows, target, n):
-    """Coefficients c with sum(c_l * basis_rows[l]) = target, or None.
+    """Coordinates c with sum(c_l * basis_rows[l]) = target, or None when
+    the target is outside their span.  The basis rows must be linearly
+    independent, so that c is unique; ValueError otherwise.
 
-    The basis rows must be linearly independent; the coefficients are then
-    unique.
-    """
+    One elimination of the rows (basis_l | e_l | 0) and (target | 0 | 1): a
+    basis row is dependent on those above it exactly when its pivot lands
+    past column n, and the target lies in the span exactly when its reduced
+    row's pivot does.  That row is then a multiple a (0 | -c | 1)."""
     s = len(basis_rows)
-    e = _eliminate(field, tuple(basis_rows) + (tuple(target),), n)
-    return None if s in e.kept else e.coefficients(s)
+    e = _eliminate(field, [tuple(v) + tuple(int(t == l) for t in range(s + 1))
+                           for l, v in enumerate((*basis_rows, target))],
+                   n + s + 1)
+    if any(p > n for p in e.pivots[:s]):
+        raise ValueError("the basis rows are linearly dependent")
+    if e.pivots[s] <= n:
+        return None
+    row = e.rows[s]
+    a = field.neg(field.inv(row[-1]))
+    return tuple(field.mul(a, v) for v in row[n:n + s])

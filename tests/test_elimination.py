@@ -89,12 +89,26 @@ def test_coordinates_and_membership_against_spans(q):
             assert (coeffs is not None) == (target in space)
             if coeffs is not None:
                 assert combine(field, coeffs, basis, n) == target
-        # every input row, kept or not, from its coefficients over the
-        # kept rows
-        e = _eliminate(field, rows, n)
-        kept = [rows[i] for i in e.kept]
-        for i, row in enumerate(rows):
-            assert combine(field, e.coefficients(i), kept, n) == tuple(row)
+        # every input row, kept or not, from its coordinates over the kept
+        # rows
+        kept = [rows[i] for i in _eliminate(field, rows, n).kept]
+        for row in rows:
+            coeffs = express_in_rows(field, kept, row, n)
+            assert combine(field, coeffs, kept, n) == tuple(row)
+        if len(kept) < len(rows):
+            # dependent rows give no unique coordinates
+            with pytest.raises(ValueError, match="linearly dependent"):
+                express_in_rows(field, rows, anywhere, n)
+        # the empty basis spans the zero vector only
+        assert express_in_rows(field, [], (0,) * n, n) == ()
+        assert (express_in_rows(field, [], anywhere, n) is None) == any(
+            anywhere)
+
+
+def test_coordinates_refuse_a_repeated_line():
+    # two spanning rows of one line; the target is the first of them
+    with pytest.raises(ValueError, match="linearly dependent"):
+        express_in_rows(gf(3), [(1, 0, 0), (2, 0, 0)], (1, 0, 0), 3)
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS)
