@@ -4,11 +4,16 @@ identities.
 Both expansions write the q-binomial coefficient as a sum of ordinary
 binomials: the summands are indexed by involutions (weight q^w(d), sign-free
 coefficient (q-1)^|d|) or, after grouping fibers of the involution-to-path
-map, by Motzkin paths (coefficient (q-1)^|P| w(P,q)).  Everything here is
-exact polynomial arithmetic; reports are plain JSON-shaped dicts with an
-"ok" flag and the first counterexample, and the census raises on any
-violated invariant.  The census reads every subspace with its path off the
-full walk :func:`qlattice.psi.subspaces_with_paths`.
+map, by Motzkin paths (coefficient (q-1)^|P| w(P,q)).  The path sums come
+from a transfer that lists no path.  The involution side is one walk over
+the points that grows every path and every involution over it step by step:
+a 2-cycle's weight, its span minus the open points it jumps over, is added
+when it closes, which counts every crossing once, so each fiber's weights
+and w(P,q) are ready at the path's last step.  Everything here is exact
+polynomial arithmetic; reports are plain JSON-shaped dicts with an "ok"
+flag and the first counterexample, and the census raises on any violated
+invariant.  The census reads every subspace with its path off the full walk
+:func:`qlattice.psi.subspaces_with_paths`.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import QPoly
-from .involution import biane, enumerate_involutions
-from .motzkin import MotzkinPath, enumerate_paths, weight_sums_by_downs
+from .involution import _check_involution_ceiling
+from .motzkin import (MotzkinPath, enumerate_paths, step_weight,
+                      weight_sums_by_downs)
 from .psi import subspaces_with_paths
 
 _QM1 = QPoly((-1, 1))  # q - 1
@@ -104,29 +110,75 @@ def verify_fs(n, k=None):
         return _expansion_report("fs", n, weight_sums_by_downs(n), k)
 
 
+def _ds_fibers(n):
+    """Yield (path word, w(P,q), fiber weight counts) for every path of
+    length n, in the order of :func:`enumerate_paths`; counts[w] is the
+    number of involutions over the path with weight w.
+
+    One depth-first walk over the points j = 1..n, trying D, then H, then U
+    at each.  Down each branch it carries the path weight, multiplied by
+    the step weight at each H or D step and so shared by every path with
+    that prefix, and the partial involutions over the prefix as (open
+    points, running weight): a U opens a 2-cycle at j, an H is a fixed
+    point, and a D closes each open point i in turn.  Closing the t-th of
+    the h open points adds (j - i - 1) - (h - 1 - t), the span of (i, j)
+    minus the open points after i: each of those crosses (i, j) and closes
+    later, so every crossing is counted once, at the earlier of its two
+    closes, and the running weight at the end is spans - crossings.
+    """
+    word = []
+
+    def walk(j, h, weight, partials):
+        if j > n:
+            counts = [0] * (max(w for _, w in partials) + 1)
+            for _, w in partials:
+                counts[w] += 1
+            yield "".join(word), weight, counts
+            return
+        left = n - j  # steps after this one
+        if h:
+            word.append("D")
+            closed = [(o[:t] + o[t + 1:], w + j - i - h + t)
+                      for o, w in partials for t, i in enumerate(o)]
+            yield from walk(j + 1, h - 1,
+                            weight * step_weight("D", h - 1), closed)
+            word.pop()
+        if h <= left:
+            word.append("H")
+            yield from walk(j + 1, h, weight * step_weight("H", h), partials)
+            word.pop()
+        if h < left:
+            word.append("U")
+            yield from walk(j + 1, h + 1, weight,
+                            [(o + (j,), w) for o, w in partials])
+            word.pop()
+
+    yield from walk(1, 0, QPoly.one(), [((), 0)])
+
+
 def verify_ds(n, max_size=None, k=None):
     """Check the involution expansion sum_d (q-1)^|d| q^w(d) C(n-2|d|, k-|d|)
     for every k (or a single one), and additionally that regrouping the sum
     along the fibers of the involution-to-path map reproduces each path
-    weight exactly."""
+    weight exactly.
+
+    Both sides come from one walk over the points (:func:`_ds_fibers`),
+    which visits every involution once, as a partial involution grown step
+    by step, but builds no :class:`Involution` and no path object.  The
+    involution count is still held to the size ceiling, before the walk.
+    The first path whose fiber sum differs from w(P,q) is the
+    counterexample."""
+    _check_involution_ceiling(n, max_size)
     with _within_64_bits("ds", n):
-        fiber_counts = {}  # path word -> involution count by weight
-        for d in enumerate_involutions(n, max_size):
-            _, _, w = d.weight_stats()
-            counts = fiber_counts.setdefault(biane(d).steps, [])
-            if len(counts) <= w:
-                counts.extend([0] * (w + 1 - len(counts)))
-            counts[w] += 1
         by_downs = [QPoly.zero()] * (n // 2 + 1)
-        for p in enumerate_paths(n, max_size):
-            got = QPoly(fiber_counts.get(p.steps, ()))
-            want = p.weight()
+        for steps, want, counts in _ds_fibers(n):
+            got = QPoly(counts)
             if got != want:
                 return {"identity": "ds", "n": n, "ok": False,
-                        "counterexample": {"path": p.steps,
+                        "counterexample": {"path": steps,
                                            "fiber_weight_sum": got.to_list(),
                                            "path_weight": want.to_list()}}
-            d = p.down_count
+            d = steps.count("D")
             by_downs[d] = by_downs[d] + got
         return _expansion_report("ds", n, by_downs, k)
 

@@ -95,10 +95,15 @@ def involution_count(n):
     return max(_involution_counts(n))
 
 
-def enumerate_involutions(n, max_size=None):
-    """Yield every involution on [n] exactly once."""
+def _check_involution_ceiling(n, max_size):
+    """TooLargeError when the involutions on [n] outnumber max_size."""
     _check_ceiling(_involution_counts(n), max_size,
                    lambda total: f"{total} involutions on [{n}]")
+
+
+def enumerate_involutions(n, max_size=None):
+    """Yield every involution on [n] exactly once."""
+    _check_involution_ceiling(n, max_size)
 
     def rec(points):
         if not points:

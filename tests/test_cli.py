@@ -144,6 +144,24 @@ def test_identity_mismatch_exits_1(capsys, monkeypatch):
                                                      "rhs": rhs}
 
 
+def test_identity_ds_fiber_mismatch_exits_1(capsys, monkeypatch):
+    real = qlattice.identities.step_weight
+    monkeypatch.setattr(qlattice.identities, "step_weight",
+                        lambda step, h: real(step, h)
+                        + (1 if (step, h) == ("H", 1) else 0))
+    code, out, err = run(capsys, "identity", "ds", "--n", "5")
+    assert (code, err) == (1, "")
+    assert out == ("ds n=5: MISMATCH\n"
+                   "counterexample: {'path': 'HHUHD', "
+                   "'fiber_weight_sum': [0, 1], 'path_weight': [1, 1]}\n")
+    code, out, err = run(capsys, "identity", "ds", "--n", "5", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "identity": "ds", "n": 5, "ok": False,
+        "counterexample": {"path": "HHUHD", "fiber_weight_sum": [0, 1],
+                           "path_weight": [1, 1]}}
+
+
 def test_identity_overflow_names_the_bound(capsys):
     code, out, err = run(capsys, "identity", "fs", "--n", "35",
                          "--max-size", str(10**30))

@@ -3,9 +3,11 @@ from math import comb
 import pytest
 
 import qlattice.identities
-from qlattice import (QPoly, TooLargeError, enumerate_paths, fiber_census,
-                      galois, gf, goldman_rota_check, qbinomial, verify_ds,
-                      verify_fs)
+from qlattice import (QPoly, TooLargeError, biane, enumerate_involutions,
+                      enumerate_paths, fiber_census, galois, gf,
+                      goldman_rota_check, qbinomial, verify_ds, verify_fs)
+from qlattice.identities import _ds_fibers
+from qlattice.motzkin import step_weight
 
 
 def qbinomial_value_oracle(n, k, q):
@@ -25,22 +27,59 @@ def galois_value_oracle(q, n):
     return g[n]
 
 
-def fs_by_paths(n, k=None):
-    """Reference for verify_fs: the expansion summed path by path, one
-    term (q-1)^|P| w(P,q) C(n-2|P|, k-|P|) per path and k."""
-    terms = [(p.down_count, QPoly((-1, 1)) ** p.down_count * p.weight())
-             for p in enumerate_paths(n)]
+def expansion_by_terms(identity, n, terms, k):
+    """The report for [n k]_q = sum of coeff C(n-2d, k-d) over the terms
+    (d, coeff), for every k (or a single one), summed term by term."""
     for k in range(n + 1) if k is None else (k,):
         rhs = QPoly.zero()
         for d, coeff in terms:
             if 0 <= k - d <= n - 2 * d:
                 rhs = rhs + comb(n - 2 * d, k - d) * coeff
         if rhs != qbinomial(n, k):
-            return {"identity": "fs", "n": n, "ok": False,
+            return {"identity": identity, "n": n, "ok": False,
                     "counterexample": {"k": k,
                                        "lhs": qbinomial(n, k).to_list(),
                                        "rhs": rhs.to_list()}}
-    return {"identity": "fs", "n": n, "ok": True, "counterexample": None}
+    return {"identity": identity, "n": n, "ok": True, "counterexample": None}
+
+
+def fs_by_paths(n, k=None):
+    """Reference for verify_fs: the expansion summed path by path, one
+    term (q-1)^|P| w(P,q) C(n-2|P|, k-|P|) per path and k."""
+    terms = [(p.down_count, QPoly((-1, 1)) ** p.down_count * p.weight())
+             for p in enumerate_paths(n)]
+    return expansion_by_terms("fs", n, terms, k)
+
+
+def fiber_counts_by_involutions(n):
+    """Path word -> involution count by weight, one Involution, weight_stats
+    and biane per involution."""
+    fiber_counts = {}
+    for d in enumerate_involutions(n):
+        _, _, w = d.weight_stats()
+        counts = fiber_counts.setdefault(biane(d).steps, [])
+        if len(counts) <= w:
+            counts.extend([0] * (w + 1 - len(counts)))
+        counts[w] += 1
+    return fiber_counts
+
+
+def ds_by_involutions(n, k=None):
+    """Reference for verify_ds: each fiber summed involution by involution
+    and checked against p.weight() multiplied out per path, then the
+    expansion summed path by path."""
+    fiber_counts = fiber_counts_by_involutions(n)
+    terms = []
+    for p in enumerate_paths(n):
+        got = QPoly(fiber_counts.get(p.steps, ()))
+        want = p.weight()
+        if got != want:
+            return {"identity": "ds", "n": n, "ok": False,
+                    "counterexample": {"path": p.steps,
+                                       "fiber_weight_sum": got.to_list(),
+                                       "path_weight": want.to_list()}}
+        terms.append((p.down_count, QPoly((-1, 1)) ** p.down_count * got))
+    return expansion_by_terms("ds", n, terms, k)
 
 
 def off_by_one_at(k_bad):
@@ -113,6 +152,53 @@ def test_mismatch_is_reported_as_data(monkeypatch, verify):
                            "rhs": qbinomial(5, 2).to_list()}}
     assert verify(5, k=1)["ok"]
     assert not verify(5, k=2)["ok"]
+
+
+def test_verify_ds_matches_the_involution_by_involution_sum():
+    for n in range(10):
+        assert verify_ds(n) == ds_by_involutions(n)
+    for n in range(7):
+        for k in range(-1, n + 2):
+            assert verify_ds(n, k=k) == ds_by_involutions(n, k)
+
+
+def test_the_ds_walk_builds_each_fiber_and_path_weight():
+    for n in range(10):
+        walk = list(_ds_fibers(n))
+        paths = list(enumerate_paths(n))
+        assert [steps for steps, _, _ in walk] == [p.steps for p in paths]
+        fiber_counts = fiber_counts_by_involutions(n)
+        for (steps, weight, counts), p in zip(walk, paths):
+            assert weight == p.weight()
+            assert counts == fiber_counts[steps]
+
+
+def one_too_large_at(bad):
+    """A step_weight stand-in that is one too large at (step, height) bad."""
+    def wrong(step, h):
+        return step_weight(step, h) + (1 if (step, h) == bad else 0)
+
+    return wrong
+
+
+def test_a_fiber_mismatch_names_the_first_path(monkeypatch):
+    bad = ("H", 1)
+    monkeypatch.setattr(qlattice.identities, "step_weight",
+                        one_too_large_at(bad))
+    first = next(p for p in enumerate_paths(5)
+                 if bad in zip(p.steps, p.heights[1:]))
+    want = QPoly.one()
+    for step, h in zip(first.steps, first.heights[1:]):
+        if step != "U":
+            want = want * one_too_large_at(bad)(step, h)
+    assert first.steps == "HHUHD"
+    assert verify_ds(5) == {
+        "identity": "ds", "n": 5, "ok": False,
+        "counterexample": {"path": "HHUHD",
+                           "fiber_weight_sum": first.weight().to_list(),
+                           "path_weight": want.to_list()}}
+    assert want != first.weight()
+    assert verify_ds(2)["ok"]  # no path of length 2 has an H at height 1
 
 
 def test_verify_fs_names_the_64_bit_bound():
