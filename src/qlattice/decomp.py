@@ -43,11 +43,13 @@ take each block's primary and path from the walk
 :func:`qlattice.psi.subspaces_with_paths` with the non-primaries pruned.
 
 A single cover step, :func:`scd_cover`, stays inside one block: the
-cover of ins_set(p, I) is ins_set(p, I + {j}), so it is built from the
-primary p by insertions alone, and p and the path are handed on in the
-cover's memo (see :class:`qlattice.matspace.Rref`).  Deletion finds p only
-for a subspace that carries no memo, at the first step of a chain.  Only
-this step scans the bracket word, in :func:`bracket_cover`.
+cover of x = ins_set(p, I) is x plus the row that inserting j puts into p
+(into p with the members of I above j inserted first), merged by
+:func:`_with_row`, so a step costs one insertion.  p and the path are
+handed on in the cover's memo (see :class:`qlattice.matspace.Rref`).
+Deletion finds p only for a subspace that carries no memo, at the first
+step of a chain.  Only this step scans the bracket word, in
+:func:`bracket_cover`.
 """
 
 from __future__ import annotations
@@ -194,19 +196,27 @@ def _ins_col_general(x, j):
     """:func:`ins_col` over any field.  The new pivot row carries u . basis
     for the section's lexically first basis, where u = c (I + b^T c)^-1 for
     the column-j entries b of the basis rows and c = phi(b); u is the scalar
-    multiple c / (1 + b . c^T), which phi keeps defined.  Rows whose
-    column-j entry is 0, and every row from the pivot row m down, are kept
-    as they are."""
-    cls, m, e = column_elimination(x, j)
+    multiple c / (1 + b . c^T), which phi keeps defined.  The new row is
+    merged into x by :func:`_with_row`."""
+    cls, _, e = column_elimination(x, j)
     if cls.pivotal or cls.essential:
         raise _not_insertable(j)
     f = x.field
-    n = x.n
     basis = [x.rows[i][j:] for i in e.kept]
     b = tuple(x.rows[i][j - 1] for i in e.kept)
     u = _inverse_update_row(f, b, phi(f, b))
-    a = _vec_times_rows(f, u, basis, n - j)
+    a = _vec_times_rows(f, u, basis, x.n - j)
+    return _with_row(x, j, (0,) * (j - 1) + (1,) + tuple(a))
+
+
+def _with_row(x, j, v):
+    """The rref of x + span(v), for a row v with its leading 1 at the
+    nonpivotal column j and 0 at every pivot of x: each row above column j
+    is cleared there by v, v goes in at its pivot's place, and every row
+    below is kept."""
+    f, n = x.field, x.n
     sub, mul = f.sub, f.mul
+    m = bisect_right(x.pivots, j)
     rows = list(x.rows)
     for i, row in enumerate(rows[:m]):
         dl = row[j - 1]
@@ -214,9 +224,9 @@ def _ins_col_general(x, j):
             rl = list(row)
             rl[j - 1] = 0
             for t in range(j, n):
-                rl[t] = sub(rl[t], mul(dl, a[t - j]))
+                rl[t] = sub(rl[t], mul(dl, v[t]))
             rows[i] = tuple(rl)
-    rows.insert(m, (0,) * (j - 1) + (1,) + tuple(a))
+    rows.insert(m, v)
     return Rref(f, n, tuple(rows), x.pivots[:m] + (j,) + x.pivots[m:])
 
 
@@ -409,10 +419,15 @@ def scd_cover(x):
     x is ins_set(p, I) for the primary p of its block and its inessential
     pivot set I, and its path P is the path of p.  The covering move adds
     the column j that the bracket chains of the ground set (the H steps of
-    P) give for I, and the cover is ins_set(p, I + {j}).  A chain stays in
+    P) give for I, and the cover is ins_set(p, I + {j}), which contains x
+    with one dimension more.  Insertion runs in decreasing column order and
+    keeps every row from its new pivot row down, so the cover is x plus the
+    new row of ins_col(z, j) for z = ins_set(p, the members of I above j),
+    z = p for most I; :func:`_with_row` merges it into x.  A chain stays in
     its block, so the cover is returned with p and P in its memo, and the
-    next step up costs |I| + 1 insertions, with no deletion and no psi pass.
-    Only an x without that memo has p found by deleting I from it.
+    next step up costs one insertion and one merge, with no deletion and no
+    psi pass.  Only an x without that memo has p found by deleting I from
+    it.
     """
     path = psi(x)
     ground = path.horizontals
@@ -424,7 +439,8 @@ def scd_cover(x):
     if p is None:
         p = del_set(x, inl_pivots)
         p.__dict__["_path"] = path
-    y = ins_set(p, inl_pivots | {j})
+    z = ins_set(p, [i for i in inl_pivots if i > j])
+    y = _with_row(x, j, ins_col(z, j).rows[bisect_right(z.pivots, j)])
     y.__dict__.update(_path=path, _primary=p)
     return y
 

@@ -224,7 +224,9 @@ def is_valid_rref(x):
     """Structural check of the rref conditions: pivots strictly increasing
     in [1, n], one row of length n per pivot, entries in [0, q), each row
     zero before its pivot and every pivot column the unit column of its row.
-    :func:`qlattice.psi.psi` runs it on the first read of a caller's Rref."""
+    :func:`qlattice.psi.psi`, ``classify_column``,
+    ``path_from_classification`` and ``is_primary`` run it on a caller's
+    Rref that carries no path in its memo."""
     pivots = list(x.pivots)
     n, k = x.n, len(pivots)
     if pivots != sorted(set(pivots)) or len(x.rows) != k:

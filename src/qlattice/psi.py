@@ -38,6 +38,14 @@ from .matspace import (Mat, Rref, _eliminate, _pivot_cells, is_valid_rref,
 from .motzkin import MotzkinPath
 
 
+def _check_rref(x, reader):
+    """Raise ValueError naming ``reader`` when x is not a valid rref.  An
+    Rref that carries its path in its memo passed this check before the path
+    was kept (see :func:`psi`), so it is not checked again."""
+    if "_path" not in x.__dict__ and not is_valid_rref(x):
+        raise ValueError(f"{reader} requires a valid rref")
+
+
 def section(x, j):
     """The section of the rref x at column j, 0 <= j <= n."""
     if not 0 <= j <= x.n:
@@ -82,7 +90,11 @@ def column_elimination(x, j):
 
 
 def classify_column(x, j):
-    """Classification of column j of the rref x, 1 <= j <= n."""
+    """Classification of column j of the rref x, 1 <= j <= n; raises
+    ValueError when x is not a valid rref, as :func:`psi` does.
+    :func:`column_elimination` is left unchecked: it is the guard inside
+    every insertion and deletion."""
+    _check_rref(x, "classify_column")
     return column_elimination(x, j)[0]
 
 
@@ -148,8 +160,7 @@ def psi(x):
     path = x.__dict__.get("_path")
     if path is not None:
         return path
-    if not is_valid_rref(x):
-        raise ValueError("psi requires a valid rref")
+    _check_rref(x, "psi")
     carried = [None] * x.n
     right_pivot = _row_step(x.field, carried)
     right = 0
@@ -230,9 +241,10 @@ def subspaces_with_paths(field, n, max_size=None, primary_only=False):
 def path_from_classification(x):
     """The same path via the column classification: H at inessential
     columns, U at essential pivotal ones, D at essential nonpivotal ones."""
+    _check_rref(x, "path_from_classification")
     steps = []
     for j in range(1, x.n + 1):
-        pivotal, essential = classify_column(x, j)
+        pivotal, essential = column_elimination(x, j)[0]
         if not essential:
             steps.append("H")
         elif pivotal:
@@ -245,7 +257,8 @@ def path_from_classification(x):
 def is_primary(x):
     """True when no column is both pivotal and inessential; such rrefs are
     the block representatives of the Boolean decomposition."""
-    return all(classify_column(x, j).essential for j in x.pivots)
+    _check_rref(x, "is_primary")
+    return all(column_elimination(x, j)[0].essential for j in x.pivots)
 
 
 def set_and_subset(x):

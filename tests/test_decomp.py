@@ -427,6 +427,59 @@ def test_scd_cover_follows_every_chain(q):
         assert scd_cover(chain[-1]) is None
 
 
+def cover_by_reinsertion(x):
+    """(cover, whether I has a member above j) by the old route, the
+    reference the one-row merge of scd_cover is checked against: delete the
+    inessential pivots I down to the primary and insert I + {j} again,
+    |I| + 1 insertions."""
+    ground, inl = set_and_subset(x)
+    j = bracket_cover(ground, inl)
+    if j is None:
+        return None, False
+    return ins_set(del_set(x, inl), inl | {j}), any(i > j for i in inl)
+
+
+#: (n, covers, covers whose I has a member above j) per field.
+COVER_CASES = {2: (6, 1430, 192), 3: (5, 1454, 125), 4: (4, 172, 3),
+               5: (4, 314, 3), 7: (3, 59, 1), 8: (3, 75, 1), 9: (3, 93, 1)}
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_scd_cover_matches_the_reinsertion_route(q):
+    """On every subspace, the first cover (no memo) and the next one (from
+    the memo the first hands on) equal ins_set(del_set(x, I), I + {j}),
+    including the covers where I has a member above j, so that the new row
+    comes from p with those members inserted first."""
+    n, covers, above = COVER_CASES[q]
+    seen = [0, 0]
+    for x in enumerate_subspaces(gf(q), n):
+        y = scd_cover(x)
+        expected, has_above = cover_by_reinsertion(x)
+        assert y == expected
+        if y is None:
+            continue
+        seen[0] += 1
+        seen[1] += has_above
+        assert "_primary" in vars(y)
+        assert scd_cover(y) == cover_by_reinsertion(y)[0]
+    assert seen == [covers, above]
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_scd_cover_frozen_case_with_an_inessential_pivot_above_j(q):
+    """I = {4} and j = 2: the new row is the pivot-2 row of ins_col of 2
+    into ins_col(p, 4), not into p, whose row would keep a 1 at pivot 4.
+    The rows are the same on every field."""
+    x = Rref(gf(q), 5, ((1, 0, 0, 0, 1), (0, 0, 0, 1, 0)), (1, 4))
+    p = del_col(x, 4)
+    assert p.rows == ((1, 0, 0, 1, 1),)
+    assert ins_col(p, 2).rows[1] == (0, 1, 0, 1, 1)
+    y = scd_cover(x)
+    assert y.rows == ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 0, 1, 0))
+    assert y.pivots == (1, 2, 4) and vars(y)["_primary"] == p
+    assert y == ins_set(p, (2, 4))
+
+
 @pytest.mark.parametrize("q", (4, 5))
 def test_machinery_over_larger_fields(q):
     # exercises division and the pairing map outside the prime fields

@@ -11,8 +11,9 @@ import pickle
 import pytest
 
 from conftest import ALL_FIELDS
-from qlattice import (Rref, classify_columns, del_set, enumerate_subspaces,
-                      gf, psi, scd_cover, set_and_subset)
+from qlattice import (Rref, classify_column, classify_columns, del_set,
+                      enumerate_subspaces, gf, is_primary, psi, scd_cover,
+                      set_and_subset)
 from qlattice import decomp
 
 #: The module; the package name qlattice.psi is the function.
@@ -87,6 +88,9 @@ def test_psi_keeps_its_path_and_classify_reuses_it(monkeypatch):
     monkeypatch.setattr(psi_mod, "is_valid_rref", refuse)
     assert psi(x) is path
     assert (set_and_subset(x), classify_columns(x)) == expected
+    # the section route does not check an Rref that psi has checked
+    assert [classify_column(x, j) for j in (1, 2, 3, 4)] == list(expected[1])
+    assert not is_primary(x)
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS)

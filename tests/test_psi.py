@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import ALL_FIELDS, primaries_by_cells, subspaces
-from qlattice import (MotzkinPath, classify_column, classify_columns,
+from qlattice import (MotzkinPath, Rref, classify_column, classify_columns,
                       enumerate_paths, enumerate_subspaces, full_space, gf,
                       is_primary, path_from_classification, psi, section,
                       section_rank, section_ranks, set_and_subset, span,
@@ -32,6 +32,23 @@ def test_section_refuses_a_column_outside_the_range():
             section(x, j)
         with pytest.raises(ValueError, match=rf"column {j} outside \[0, 3\]"):
             section_rank(x, j)
+
+
+def test_classify_column_refuses_an_invalid_rref():
+    """As psi does, classify_column and the references built on it raise
+    ValueError on a row not reduced at a later pivot, pivots out of order,
+    an entry outside the field or a pivot outside [1, n], at every column."""
+    bad = (Rref(F2, 3, ((1, 1, 0), (0, 1, 1)), (1, 2)),
+           Rref(F2, 3, ((0, 1, 0), (1, 0, 0)), (2, 1)),
+           Rref(F3, 2, ((1, 3),), (1,)),
+           Rref(F2, 2, ((0, 1),), (2, 3)))
+    for x in bad:
+        for j in range(1, x.n + 1):
+            with pytest.raises(ValueError, match="valid rref"):
+                classify_column(x, j)
+        for reader in (path_from_classification, is_primary):
+            with pytest.raises(ValueError, match="valid rref"):
+                reader(x)
 
 
 def test_section_ranks_of_eight_column_family():
