@@ -138,6 +138,21 @@ class GF:
     def div(self, a, b):
         return self._mul[a][self.inv(b)]
 
+    # The row kernel, the one place where entries of F_q rows are combined:
+    # table lookups per entry, no method call.  The methods above are scalar.
+
+    def sub_scaled(self, r, c, s, lo=0):
+        """r[t] -= c * s[t] for every t >= lo, in place on the list r."""
+        add, row = self._add, self._mul[self._neg[c]]
+        for t in range(lo, len(r)):
+            r[t] = add[r[t]][row[s[t]]]
+
+    def scale(self, c, r, lo=0):
+        """r[t] *= c for every t >= lo, in place on the list r."""
+        row = self._mul[c]
+        for t in range(lo, len(r)):
+            r[t] = row[r[t]]
+
     def elements(self):
         return range(self.q)
 

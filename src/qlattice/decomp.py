@@ -15,7 +15,9 @@ reads the coordinates of the section rows in that basis from
 :func:`qlattice.matspace.express_in_rows`.  Insertion needs only the row
 c (I + b^T c)^-1, which by Sherman-Morrison is the scalar multiple
 c / (1 + b . c^T); :func:`gamma_inv` remains as the reference matrix it is
-tested against.
+tested against.  Every row update and scaling in insertion, deletion and
+the merge :func:`_with_row` is one call of the field's row kernel
+(``GF.sub_scaled``, ``GF.scale``), the one place where row entries meet.
 
 Over F_2 the pairing map and the scale collapse.  mu(1, x) is 1 + x, so
 phi(b) is the complement of b, every product b_i phi(b)_i is 0,
@@ -48,8 +50,8 @@ cover of x = ins_set(p, I) is x plus the row that inserting j puts into p
 :func:`_with_row`, so a step costs one insertion.  p and the path are
 handed on in the cover's memo (see :class:`qlattice.matspace.Rref`).
 Deletion finds p only for a subspace that carries no memo, at the first
-step of a chain.  Only this step scans the bracket word, in
-:func:`bracket_cover`.
+step of a chain.  Only this step scans the bracket word, unchecked over
+the ground set its path keeps, in :func:`_bracket_scan`.
 """
 
 from __future__ import annotations
@@ -85,26 +87,21 @@ def mu_inv(field, d, y):
 def phi(field, b):
     """The pairing bijection of F_q^n with b . phi(b)^T != -1, computed by
     the coordinate recursion; phi of the empty vector is the empty vector."""
-    out = []
-    dot = 0
-    minus_one = field.neg(1)
-    for x in b:
-        alpha = field.sub(minus_one, dot)
-        y = mu(field, alpha, x)
-        out.append(y)
-        dot = field.add(dot, field.mul(x, y))
-    return tuple(out)
+    return _pairing(field, b, mu)
 
 
 def phi_inv(field, c):
     """Inverse of :func:`phi`."""
-    out = []
-    dot = 0
-    minus_one = field.neg(1)
-    for y in c:
-        alpha = field.sub(minus_one, dot)
-        x = mu_inv(field, alpha, y)
-        out.append(x)
+    return _pairing(field, c, mu_inv)
+
+
+def _pairing(field, v, step):
+    """The recursion of :func:`phi` (``step`` mu) and :func:`phi_inv`
+    (mu_inv): each coordinate is ``step`` at -1 minus the dot so far."""
+    out, dot, minus_one = [], 0, field.neg(1)
+    for x in v:
+        y = step(field, field.sub(minus_one, dot), x)
+        out.append(y)
         dot = field.add(dot, field.mul(x, y))
     return tuple(out)
 
@@ -133,18 +130,9 @@ def _inverse_update_row(field, b, c):
     dot = 0
     for x, y in zip(b, c):
         dot = add(dot, mul(x, y))
-    scale = field.inv(add(1, dot))
-    return [mul(scale, y) for y in c]
-
-
-def _vec_times_rows(field, vec, rows, width):
-    add, mul = field.add, field.mul
-    out = [0] * width
-    for coef, row in zip(vec, rows):
-        if coef:
-            for t in range(width):
-                out[t] = add(out[t], mul(coef, row[t]))
-    return out
+    u = list(c)
+    field.scale(field.inv(add(1, dot)), u)
+    return u
 
 
 def del_col(x, j):
@@ -162,16 +150,14 @@ def del_col(x, j):
     tails = [row[j:] for row in x.rows[:m]]
     basis = [tails[i] for i in e.kept]
     b = phi_inv(f, express_in_rows(f, basis, tails[m - 1], w))
-    add, mul = f.add, f.mul
     rows = [list(r) for r in x.rows]
     prow = rows.pop(m - 1)
     for rl, tail in zip(rows[:m - 1], tails):
-        dl = 0
+        dl = 0  # minus alpha_u . b
         for coef, bv in zip(express_in_rows(f, basis, tail, w), b):
-            dl = add(dl, mul(coef, bv))
+            dl = f.sub(dl, f.mul(coef, bv))
         if dl:
-            for t in range(j - 1, x.n):
-                rl[t] = add(rl[t], mul(dl, prow[t]))
+            f.sub_scaled(rl, dl, prow, j - 1)
     return Rref(f, x.n, tuple(tuple(r) for r in rows),
                 x.pivots[:m - 1] + x.pivots[m:])
 
@@ -205,7 +191,10 @@ def _ins_col_general(x, j):
     basis = [x.rows[i][j:] for i in e.kept]
     b = tuple(x.rows[i][j - 1] for i in e.kept)
     u = _inverse_update_row(f, b, phi(f, b))
-    a = _vec_times_rows(f, u, basis, x.n - j)
+    a = [0] * (x.n - j)
+    for coef, row in zip(u, basis):
+        if coef:
+            f.sub_scaled(a, f.neg(coef), row)
     return _with_row(x, j, (0,) * (j - 1) + (1,) + tuple(a))
 
 
@@ -214,20 +203,15 @@ def _with_row(x, j, v):
     nonpivotal column j and 0 at every pivot of x: each row above column j
     is cleared there by v, v goes in at its pivot's place, and every row
     below is kept."""
-    f, n = x.field, x.n
-    sub, mul = f.sub, f.mul
     m = bisect_right(x.pivots, j)
     rows = list(x.rows)
     for i, row in enumerate(rows[:m]):
-        dl = row[j - 1]
-        if dl:
+        if row[j - 1]:
             rl = list(row)
-            rl[j - 1] = 0
-            for t in range(j, n):
-                rl[t] = sub(rl[t], mul(dl, v[t]))
+            x.field.sub_scaled(rl, row[j - 1], v, j - 1)
             rows[i] = tuple(rl)
     rows.insert(m, v)
-    return Rref(f, n, tuple(rows), x.pivots[:m] + (j,) + x.pivots[m:])
+    return Rref(x.field, x.n, tuple(rows), x.pivots[:m] + (j,) + x.pivots[m:])
 
 
 #: Maps the text digits of a binary numeral to the bytes 0 and 1.
@@ -311,7 +295,7 @@ class BooleanBlock:
     primary: Rref
     path: MotzkinPath
 
-    @cached_property
+    @property
     def ground(self):
         """The inessential columns: the H steps of the path."""
         return self.path.horizontals
@@ -394,6 +378,11 @@ def bracket_cover(ground, members):
     members = frozenset(members)
     if not members <= elements:
         raise ValueError("members must be a subset of the ground set")
+    return _bracket_scan(ground, members)
+
+
+def _bracket_scan(ground, members):
+    """:func:`bracket_cover` over a sorted, unique ground set, unchecked."""
     unmatched = []
     for pos in ground:
         if pos not in members:
@@ -432,7 +421,7 @@ def scd_cover(x):
     path = psi(x)
     ground = path.horizontals
     inl_pivots = left_pivots(x).intersection(ground)
-    j = bracket_cover(ground, inl_pivots)
+    j = _bracket_scan(ground, inl_pivots)
     if j is None:
         return None
     p = x.__dict__.get("_primary")

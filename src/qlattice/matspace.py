@@ -13,6 +13,8 @@ with a unit block appended (the right pivots are read off the path, see
 :mod:`qlattice.psi`).
 Containment in a subspace needs no elimination: :func:`subspace_leq` reduces
 each row against the rows of the given rref, which are already reduced.
+Row entries are combined only by the field's row kernel, ``GF.sub_scaled``
+and ``GF.scale``, here as in :mod:`qlattice.psi` and :mod:`qlattice.decomp`.
 
 The subspaces with a fixed pivot set form one cell, and each row of a cell
 varies on its own.  :func:`_pivot_cells` checks the ceiling once and lists
@@ -90,25 +92,22 @@ class Elimination(NamedTuple):
 def _eliminate(field, rows, n):
     """Forward elimination of the rows, top to bottom: each row is reduced
     against the rows kept so far and kept when something is left.  The one
-    row-reduction loop of the library; does not modify its input."""
-    mul, sub, inv = field.mul, field.sub, field.inv
+    forward elimination of the library; its row updates and scalings are
+    the field's row kernel.  Does not modify its input."""
+    sub_scaled = field.sub_scaled
     kept, reduced, pivots = [], [], []
     for idx, row in enumerate(rows):
         r = list(row)
         for pc, pr in zip(pivots, reduced):
-            c = r[pc]
-            if c:
-                for t in range(pc, n):
-                    r[t] = sub(r[t], mul(c, pr[t]))
+            if r[pc]:
+                sub_scaled(r, r[pc], pr, pc)
         for pc in range(n):
             if r[pc]:
                 break
         else:
             continue
         if r[pc] != 1:
-            ai = inv(r[pc])
-            for t in range(pc, n):
-                r[t] = mul(ai, r[t])
+            field.scale(field.inv(r[pc]), r, pc)
         kept.append(idx)
         reduced.append(r)
         pivots.append(pc)
@@ -123,15 +122,12 @@ def rref_left(m):
     order = sorted(range(len(e.rows)), key=e.pivots.__getitem__)
     rows = [e.rows[i] for i in order]
     pivots = tuple(e.pivots[i] for i in order)
-    sub, mul = m.field.sub, m.field.mul
     for i in reversed(range(len(rows))):
         # rows below i are zero at column p; row i is zero at later pivots
         p, prow = pivots[i] - 1, rows[i]
         for r in rows[:i]:
-            c = r[p]
-            if c:
-                for t in range(p, m.n):
-                    r[t] = sub(r[t], mul(c, prow[t]))
+            if r[p]:
+                m.field.sub_scaled(r, r[p], prow, p)
     return Rref(m.field, m.n, tuple(tuple(r) for r in rows), pivots)
 
 
@@ -168,14 +164,11 @@ def subspace_leq(a, b):
         raise ValueError("subspaces live in different ambient spaces")
     if a.dim > b.dim:
         return False
-    sub, mul = b.field.sub, b.field.mul
     for row in a.rows:
         r = list(row)
         for p, brow in zip(b.pivots, b.rows):
-            c = r[p - 1]
-            if c:
-                for t in range(p - 1, b.n):
-                    r[t] = sub(r[t], mul(c, brow[t]))
+            if r[p - 1]:
+                b.field.sub_scaled(r, r[p - 1], brow, p - 1)
         if any(r):
             return False
     return True
@@ -302,6 +295,6 @@ def express_in_rows(field, basis_rows, target, n):
         raise ValueError("the basis rows are linearly dependent")
     if e.pivots[s] <= n:
         return None
-    row = e.rows[s]
-    a = field.neg(field.inv(row[-1]))
-    return tuple(field.mul(a, v) for v in row[n:n + s])
+    c = e.rows[s][n:]
+    field.scale(field.neg(field.inv(c.pop())), c)
+    return tuple(c)

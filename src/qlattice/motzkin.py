@@ -26,7 +26,7 @@ def step_weight(step, h):
 
 
 class MotzkinPath:
-    __slots__ = ("steps", "heights")
+    __slots__ = ("steps", "heights", "_horizontals")
 
     def __init__(self, steps):
         h = 0
@@ -71,8 +71,14 @@ class MotzkinPath:
 
     @property
     def horizontals(self):
-        """1-based positions of the H steps, increasing."""
-        return tuple(i for i, ch in enumerate(self.steps, 1) if ch == "H")
+        """1-based positions of the H steps, increasing: one scan of the
+        word, kept in a slot that equality, hashing and repr do not read."""
+        try:
+            return self._horizontals
+        except AttributeError:
+            self._horizontals = tuple(
+                i for i, ch in enumerate(self.steps, 1) if ch == "H")
+            return self._horizontals
 
     def weight(self):
         """The q-weight: product of the step weights."""

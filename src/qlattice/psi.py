@@ -109,8 +109,9 @@ def _row_step(field, carried):
     """The row step against ``carried`` (0-based right pivot -> carried row
     and the inverse of its entry there): a function mapping a row to its
     (0-based right pivot, row reduced up to it).  It scans from the right,
-    subtracting each carried row it meets, until no carried row ends there."""
-    mul, sub, n = field.mul, field.sub, len(carried)
+    subtracting each carried row it meets (whole, as it is zero past its
+    right pivot), until no carried row ends there."""
+    mul, sub_scaled, n = field.mul, field.sub_scaled, len(carried)
 
     def right_pivot(row):
         r, t = row, n - 1
@@ -121,13 +122,9 @@ def _row_step(field, carried):
             if hit is None:
                 return t, r
             prow, pinv = hit
-            c = r[t] if pinv == 1 else mul(r[t], pinv)
             if r is row:
                 r = list(row)
-            r[t] = 0
-            for s in range(t):
-                if prow[s]:
-                    r[s] = sub(r[s], mul(c, prow[s]))
+            sub_scaled(r, r[t] if pinv == 1 else mul(r[t], pinv), prow)
 
     return right_pivot
 

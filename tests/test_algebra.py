@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -85,6 +86,37 @@ def test_field_axioms_exhaustive(q):
         assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+def _row_pairs(q, length, rng):
+    """Every pair (r, s) of rows of the length over F_q when there are at
+    most 3^8, else 200 seeded pairs; r is a list, s a tuple."""
+    if q ** (2 * length) <= 3**8:
+        for rs in product(range(q), repeat=2 * length):
+            yield list(rs[:length]), rs[length:]
+    else:
+        for _ in range(200):
+            yield ([rng.randrange(q) for _ in range(length)],
+                   tuple(rng.randrange(q) for _ in range(length)))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_row_kernel_matches_scalar_route(q):
+    """sub_scaled and scale agree entry by entry with GF.sub and GF.mul from
+    lo on, for every scalar c and every start lo, and leave r[:lo] as it
+    was."""
+    f, rng = gf(q), random.Random(q)
+    for length in range(5):
+        for r, s in _row_pairs(q, length, rng):
+            for c in f.elements():
+                for lo in range(length + 1):
+                    got = list(r)
+                    f.sub_scaled(got, c, s, lo)
+                    assert got == r[:lo] + [f.sub(a, f.mul(c, b)) for a, b
+                                            in zip(r[lo:], s[lo:])]
+                    got = list(r)
+                    f.scale(c, got, lo)
+                    assert got == r[:lo] + [f.mul(c, a) for a in r[lo:]]
 
 
 @pytest.mark.parametrize("q", (4, 8, 9))

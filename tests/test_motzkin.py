@@ -136,6 +136,21 @@ def test_horizontals_examples():
     assert MotzkinPath("UHDHUUHDD").horizontals == (2, 4, 7)
 
 
+def test_horizontals_are_kept_and_ignored_by_value():
+    """For every path of length <= 8 the H positions are the H steps of the
+    word, a second read returns the same tuple, and the kept tuple changes
+    neither equality, nor hashing, nor repr against a fresh copy."""
+    for n in range(9):
+        for p in enumerate_paths(n):
+            first = p.horizontals
+            assert first == tuple(i for i, ch in enumerate(p.steps, 1)
+                                  if ch == "H")
+            assert p.horizontals is first
+            fresh = MotzkinPath(p.steps)
+            assert p == fresh and hash(p) == hash(fresh)
+            assert repr(p) == repr(fresh)
+
+
 def test_heights_and_step_balance():
     for n in range(7):
         for p in enumerate_paths(n):
