@@ -10,7 +10,10 @@ that enumerate (paths, involutions, sbd, scd, census, identity) take
 --max-size, which like QLATTICE_MAX_SIZE overrides the enumeration ceiling;
 identity fs enumerates nothing.  Every command but sbd, scd and census builds
 its text and JSON forms and prints one through ``_emit``; those three keep
-their own print loops, so a bulk result is formatted in one form only.
+their own print loops, so a bulk result is formatted in one form only.  sbd
+and scd print from the decomposition generators one block at a time, their
+--json arrays included (``_print_json_list``), so neither holds more than
+one block in memory; the bytes are those of printing the whole result.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import sys
 
 from . import acceptance
 from .algebra import gf
-from .decomp import sbd, scd, scd_cover
+from .decomp import sbd_blocks, scd_chains, scd_cover
 from .identities import fiber_census, verify_ds, verify_fs
 from .involution import biane, enumerate_involutions, parse_involution
 from .matspace import format_matrix, parse_matrix, rref_left
@@ -128,14 +131,26 @@ def _cmd_classify(args):
     return 0
 
 
+def _print_json_list(items, head="", tail=""):
+    """Print head, the JSON array of ``items`` and tail: the bytes of
+    ``print(head + json.dumps(list(items)) + tail)``, written one item at a
+    time.  The first item is computed before anything is written, so an
+    error it raises (the enumeration ceiling) leaves stdout empty."""
+    write, sep = sys.stdout.write, head + "["
+    for item in items:
+        write(sep + json.dumps(item))
+        sep = ", "
+    # sep is still the opening bracket when there was no item
+    write(("" if sep == ", " else sep) + "]" + tail + "\n")
+
+
 def _cmd_sbd(args):
-    field = gf(args.q)
-    blocks = sbd(field, args.n, _max_size(args))
+    blocks = sbd_blocks(gf(args.q), args.n, _max_size(args))
     if args.json:
-        print(json.dumps([{"path": b.path.steps,
-                           "primary_rref": [list(r) for r in b.primary.rows],
-                           "set": list(b.ground),
-                           "members": b.size} for b in blocks]))
+        _print_json_list({"path": b.path.steps,
+                          "primary_rref": [list(r) for r in b.primary.rows],
+                          "set": list(b.ground),
+                          "members": b.size} for b in blocks)
     else:
         texts = {}
         for b in blocks:
@@ -146,16 +161,14 @@ def _cmd_sbd(args):
 
 
 def _cmd_scd(args):
-    field = gf(args.q)
-    dec = scd(field, args.n, _max_size(args))
+    chains = scd_chains(gf(args.q), args.n, _max_size(args))
     if args.json:
-        payload = [[[list(r) for r in x.rows] for x in chain]
-                   for chain in dec.chains]
-        print(json.dumps({"q": args.q, "n": args.n,
-                          "chains": payload}))
+        _print_json_list(([[list(r) for r in x.rows] for x in chain]
+                          for chain in chains),
+                         f'{{"q": {args.q}, "n": {args.n}, "chains": ', "}")
     else:
         texts = {}
-        for i, chain in enumerate(dec.chains, start=1):
+        for i, chain in enumerate(chains, start=1):
             print(f"chain {i} (ranks {chain[0].dim}..{chain[-1].dim})")
             for x in chain:
                 print(f"  [{_rref_text(x, texts)}]")

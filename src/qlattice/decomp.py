@@ -43,6 +43,9 @@ dimension equals the down count of its path, that is one with no column in
 L & R, and its ground set is the H steps of that path.  Both decompositions
 take each block's primary and path from the walk
 :func:`qlattice.psi.subspaces_with_paths` with the non-primaries pruned.
+A block's chains depend on its primary and path alone, so the generators
+:func:`sbd_blocks` and :func:`scd_chains` yield the decompositions one
+block at a time; :func:`sbd` and :func:`scd` list them.
 
 A single cover step, :func:`scd_cover`, stays inside one block: the
 cover of x = ins_set(p, I) is x plus the row that inserting j puts into p
@@ -335,11 +338,18 @@ def boolean_block(x):
     return BooleanBlock(x, path)
 
 
+def sbd_blocks(field, n, max_size=None):
+    """The blocks of :func:`sbd` one at a time, in enumeration order: a
+    block is its primary and path, so none is kept once it is yielded."""
+    for x, path in subspaces_with_paths(field, n, max_size,
+                                        primary_only=True):
+        yield BooleanBlock(x, path)
+
+
 def sbd(field, n, max_size=None):
     """The symmetric Boolean decomposition of the subspace lattice of
     F_q^n: one block per primary rref, in enumeration order."""
-    return [BooleanBlock(x, path) for x, path in
-            subspaces_with_paths(field, n, max_size, primary_only=True)]
+    return list(sbd_blocks(field, n, max_size))
 
 
 def _chains(bottom, ground, insert):
@@ -448,14 +458,19 @@ class ChainDecomposition:
         return sum(len(c) for c in self.chains)
 
 
+def scd_chains(field, n, max_size=None):
+    """The chains of :func:`scd` one block at a time, the blocks in
+    enumeration order: :func:`_chains` builds a block's chains from its
+    primary, and they are yielded with their minima by size and then
+    lexicographically, that is by dimension and then pivots."""
+    for x, path in subspaces_with_paths(field, n, max_size,
+                                        primary_only=True):
+        yield from sorted(_chains(x, path.horizontals, ins_col),
+                          key=lambda chain: (chain[0].dim, chain[0].pivots))
+
+
 def scd(field, n, max_size=None):
     """The symmetric chain decomposition of the subspace lattice of F_q^n,
     obtained by transporting the bracket chains of every Boolean block
-    through the insertion maps: :func:`_chains` builds each block's chains
-    from its primary, and they are listed with their minima by size and then
-    lexicographically, that is by dimension and then pivots."""
-    chains = []
-    for x, path in subspaces_with_paths(field, n, max_size, primary_only=True):
-        chains += sorted(_chains(x, path.horizontals, ins_col),
-                         key=lambda chain: (chain[0].dim, chain[0].pivots))
-    return ChainDecomposition(field, n, chains)
+    through the insertion maps: the chains of :func:`scd_chains`."""
+    return ChainDecomposition(field, n, list(scd_chains(field, n, max_size)))

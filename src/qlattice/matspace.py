@@ -54,11 +54,15 @@ class Rref:
 
     An Rref is immutable, so what is derived from its value can be kept on
     it.  Its instance dict holds that memo next to the four fields:
-    ``_path``, its Motzkin path, set by :func:`qlattice.psi.psi`; and
+    ``_path``, its Motzkin path, set by :func:`qlattice.psi.psi`;
     ``_primary``, the primary rref of its Boolean block, set by
     :func:`qlattice.decomp.scd_cover` on each cover it returns (never on a
-    primary itself).  The memo is no field: equality, hashing and ``repr``
-    read the four fields only, so a memoised Rref equals its fresh copy.
+    primary itself); and ``_valid``, set by :func:`rref_left` on the rref
+    it builds, which is valid by construction from a :class:`Mat` of the
+    documented form, so that the readers in :mod:`qlattice.psi` skip
+    :func:`is_valid_rref` for it.  The memo is no field: equality, hashing
+    and ``repr`` read the four fields only, so a memoised Rref equals its
+    fresh copy.
     This is why Rref keeps its instance dict; a ``__slots__`` or NamedTuple
     rewrite must keep room for the memo.
     """
@@ -117,7 +121,8 @@ def _eliminate(field, rows, n):
 def rref_left(m):
     """The unique rref with the same row space: the kept rows of the
     forward elimination sorted by pivot, then back-substituted from the last
-    pivot up.  Zero rows are discarded; idempotent on rrefs."""
+    pivot up.  Zero rows are discarded; idempotent on rrefs.  The result
+    is marked valid in its memo (see :class:`Rref`)."""
     e = _eliminate(m.field, m.rows, m.n)
     order = sorted(range(len(e.rows)), key=e.pivots.__getitem__)
     rows = [e.rows[i] for i in order]
@@ -128,7 +133,9 @@ def rref_left(m):
         for r in rows[:i]:
             if r[p]:
                 m.field.sub_scaled(r, r[p], prow, p)
-    return Rref(m.field, m.n, tuple(tuple(r) for r in rows), pivots)
+    x = Rref(m.field, m.n, tuple(tuple(r) for r in rows), pivots)
+    x.__dict__["_valid"] = True
+    return x
 
 
 def span(field, vectors, n):
@@ -219,7 +226,8 @@ def is_valid_rref(x):
     zero before its pivot and every pivot column the unit column of its row.
     :func:`qlattice.psi.psi`, ``classify_column``,
     ``path_from_classification`` and ``is_primary`` run it on a caller's
-    Rref that carries no path in its memo."""
+    Rref that carries neither a path nor the mark of :func:`rref_left` in
+    its memo."""
     pivots = list(x.pivots)
     n, k = x.n, len(pivots)
     if pivots != sorted(set(pivots)) or len(x.rows) != k:

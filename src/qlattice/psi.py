@@ -41,8 +41,10 @@ from .motzkin import MotzkinPath
 def _check_rref(x, reader):
     """Raise ValueError naming ``reader`` when x is not a valid rref.  An
     Rref that carries its path in its memo passed this check before the path
-    was kept (see :func:`psi`), so it is not checked again."""
-    if "_path" not in x.__dict__ and not is_valid_rref(x):
+    was kept (see :func:`psi`), and one marked valid was built by
+    :func:`qlattice.matspace.rref_left`, so neither is checked."""
+    memo = x.__dict__
+    if "_path" not in memo and "_valid" not in memo and not is_valid_rref(x):
         raise ValueError(f"{reader} requires a valid rref")
 
 

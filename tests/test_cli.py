@@ -280,9 +280,12 @@ def test_max_size_only_where_something_is_enumerated():
     (("census", "--q", "2", "--n", "4"), "F_2^4 has 67 subspaces"),
     (("sbd", "--q", "3", "--n", "3"), "F_3^3 has 28 subspaces"),
     (("scd", "--q", "2", "--n", "4"), "F_2^4 has 67 subspaces"),
+    (("sbd", "--q", "3", "--n", "3", "--json"), "F_3^3 has 28 subspaces"),
+    (("scd", "--q", "2", "--n", "4", "--json"), "F_2^4 has 67 subspaces"),
     (("involutions", "--n", "5"), "26 involutions on [5]"),
     (("identity", "ds", "--n", "5"), "26 involutions on [5]")],
-    ids=["census", "sbd", "scd", "involutions", "identity-ds"])
+    ids=["census", "sbd", "scd", "sbd-json", "scd-json", "involutions",
+         "identity-ds"])
 def test_enumeration_ceilings_are_exact(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--max-size", "10")
     assert code == 2 and out == ""

@@ -11,8 +11,9 @@ import pickle
 import pytest
 
 from conftest import ALL_FIELDS
-from qlattice import (Rref, classify_column, classify_columns, del_set,
-                      enumerate_subspaces, gf, is_primary, psi, scd_cover,
+from qlattice import (Mat, Rref, classify_column, classify_columns, del_set,
+                      enumerate_subspaces, gf, is_primary,
+                      path_from_classification, psi, rref_left, scd_cover,
                       set_and_subset)
 from qlattice import decomp
 
@@ -91,6 +92,39 @@ def test_psi_keeps_its_path_and_classify_reuses_it(monkeypatch):
     # the section route does not check an Rref that psi has checked
     assert [classify_column(x, j) for j in (1, 2, 3, 4)] == list(expected[1])
     assert not is_primary(x)
+
+
+#: The readers that check a caller's Rref, each as a function of x.
+CHECKED_READERS = (psi, lambda x: classify_column(x, 1),
+                   path_from_classification, is_primary)
+
+
+def test_a_rref_left_result_is_trusted_and_a_caller_rref_checked(
+        monkeypatch):
+    """rref_left marks its result valid, so no reader runs is_valid_rref on
+    it; a caller's Rref of the same value is checked by each reader, and
+    an invalid one is refused."""
+    x = rref_left(Mat(F3, 3, ((1, 1, 0), (0, 1, 1))))
+    copy = fresh(x)
+    assert set(vars(x)) - set(vars(copy)) == {"_valid"}
+    assert x == copy and hash(x) == hash(copy) and repr(x) == repr(copy)
+    bad = Rref(F3, 3, ((1, 1, 0), (0, 1, 1)), (1, 2))
+    checked = []
+    check = psi_mod.is_valid_rref
+
+    def counted(y):
+        checked.append(y)
+        return check(y)
+
+    monkeypatch.setattr(psi_mod, "is_valid_rref", counted)
+    for reader in CHECKED_READERS:
+        reader(rref_left(Mat(F3, 3, bad.rows)))
+        assert checked == []
+        reader(fresh(x))
+        assert checked == [x]
+        with pytest.raises(ValueError, match="valid rref"):
+            reader(fresh(bad))
+        checked.clear()
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS)
