@@ -15,9 +15,10 @@ reads the coordinates of the section rows in that basis from
 :func:`qlattice.matspace.express_in_rows`.  Insertion needs only the row
 c (I + b^T c)^-1, which by Sherman-Morrison is the scalar multiple
 c / (1 + b . c^T); :func:`gamma_inv` remains as the reference matrix it is
-tested against.  Every row update and scaling in insertion, deletion and
-the merge :func:`_with_row` is one call of the field's row kernel
-(``GF.sub_scaled``, ``GF.scale``), the one place where row entries meet.
+tested against.  Every insertion ends in the one rank-one merge,
+:func:`_with_row`.  Each row update and scaling in insertion, deletion and
+the merge is one call of the field's row kernel (``GF.sub_scaled``,
+``GF.scale``), the one place where row entries meet.
 
 Over F_2 the pairing map and the scale collapse.  mu(1, x) is 1 + x, so
 phi(b) is the complement of b, every product b_i phi(b)_i is 0,
@@ -25,11 +26,11 @@ b . phi(b)^T = 0 and the scale 1 / (1 + b . c^T) is 1.  The new row is then
 e_j plus the XOR of the tails of the basis rows whose column-j entry is 0.
 :func:`ins_col` hands q = 2 to a bit-row kernel, :func:`_ins_col_gf2`, in
 the style of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010): the rows above
-column j become ints, the guard is one XOR elimination of the section, and
-the rows are cleared at column j by XOR.  It runs no field operation, no
-phi and no :func:`qlattice.matspace._eliminate`; the general route serves
-every other field and is the reference the kernel is tested against.
-Deletion takes the general route at every q.
+column j become ints, and one XOR elimination of the section gives the
+guard and the new row, with no field operation, no phi and no
+:func:`qlattice.matspace._eliminate`.  The general route serves every
+other field and is the reference the kernel is tested against.  Deletion
+takes the general route at every q.
 
 The chains of a block are the bracket chains of its ground set (Greene and
 Kleitman, JCTA 1976), built by the recursion of de Bruijn, van Ebbenhorst
@@ -47,11 +48,11 @@ A block's chains depend on its primary and path alone, so the generators
 :func:`sbd_blocks` and :func:`scd_chains` yield the decompositions one
 block at a time; :func:`sbd` and :func:`scd` list them.
 
-A single cover step, :func:`scd_cover`, stays inside one block: the
-cover of x = ins_set(p, I) is x plus the row that inserting j puts into p
-(into p with the members of I above j inserted first), merged by
-:func:`_with_row`, so a step costs one insertion.  p and the path are
-handed on in the cover's memo (see :class:`qlattice.matspace.Rref`).
+A block is a Boolean sublattice: its member at S is p + span(v_g : g in
+S), v_g the row that ins_col(p, g) puts into p.  So a cover step,
+:func:`scd_cover`, is x = ins_set(p, I) plus v_j, merged by
+:func:`_with_row`: one insertion.  p and the path are handed on in the
+cover's memo (see :class:`qlattice.matspace.Rref`).
 Deletion finds p only for a subspace that carries no memo, at the first
 step of a chain.  Only this step scans the bracket word, unchecked over
 the ground set its path keeps, in :func:`_bracket_scan`.
@@ -63,7 +64,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matspace import Mat, Rref, express_in_rows, left_pivots
+from .matspace import Mat, Rref, _reduced, express_in_rows, left_pivots
 from .motzkin import MotzkinPath
 from .psi import column_elimination, psi, subspaces_with_paths
 
@@ -202,10 +203,11 @@ def _ins_col_general(x, j):
 
 
 def _with_row(x, j, v):
-    """The rref of x + span(v), for a row v with its leading 1 at the
-    nonpivotal column j and 0 at every pivot of x: each row above column j
-    is cleared there by v, v goes in at its pivot's place, and every row
-    below is kept."""
+    """The module's one rank-one merge: the rref of x + span(v), for a row
+    v with its leading 1 at the nonpivotal column j.  v is reduced by x,
+    keeping that 1, each row above column j is cleared there by it, it goes
+    in at its pivot's place, and every row below is kept."""
+    v = tuple(_reduced(x, v))
     m = bisect_right(x.pivots, j)
     rows = list(x.rows)
     for i, row in enumerate(rows[:m]):
@@ -230,8 +232,7 @@ def _ins_col_gf2(x, j):
     set puts a pivot on column j, which is then essential.  The rows whose
     tails stay independent are the lexically first basis, and the new row
     is e_j plus the XOR of the tails of those whose column-j bit is 0 (see
-    the module docstring).  The rows above whose column-j bit is 1 take the
-    new row by XOR; every other row is kept."""
+    the module docstring), merged into x by :func:`_with_row`."""
     n = x.n
     if not 1 <= j <= n:
         raise ValueError(f"column {j} outside [1, {n}]")
@@ -241,14 +242,12 @@ def _ins_col_gf2(x, j):
         raise _not_insertable(j)
     w = n - j
     mask = (1 << w) - 1
-    packed = []
     reduced = {}
     a = 0
     for row in x.rows[:m]:
         v = 0
         for bit in row[j - 1:]:
             v = v + v + bit
-        packed.append(v)
         r = v
         while r & mask:
             top = (r & mask).bit_length()
@@ -261,16 +260,8 @@ def _ins_col_gf2(x, j):
         else:
             if r:
                 raise _not_insertable(j)
-    new = 1 << w | a
-    fmt = f"0{w + 1}b"
-    rows = list(x.rows)
-    for i, v in enumerate(packed):
-        if v >> w:
-            rows[i] = rows[i][:j - 1] + tuple(
-                format(v ^ new, fmt).encode().translate(_BIT_BYTES))
-    rows.insert(m, (0,) * (j - 1) + tuple(
-        format(new, fmt).encode().translate(_BIT_BYTES)))
-    return Rref(x.field, n, tuple(rows), pivots[:m] + (j,) + pivots[m:])
+    return _with_row(x, j, (0,) * (j - 1) + tuple(
+        format(1 << w | a, f"0{w + 1}b").encode().translate(_BIT_BYTES)))
 
 
 def del_set(x, cols):
@@ -419,14 +410,12 @@ def scd_cover(x):
     pivot set I, and its path P is the path of p.  The covering move adds
     the column j that the bracket chains of the ground set (the H steps of
     P) give for I, and the cover is ins_set(p, I + {j}), which contains x
-    with one dimension more.  Insertion runs in decreasing column order and
-    keeps every row from its new pivot row down, so the cover is x plus the
-    new row of ins_col(z, j) for z = ins_set(p, the members of I above j),
-    z = p for most I; :func:`_with_row` merges it into x.  A chain stays in
-    its block, so the cover is returned with p and P in its memo, and the
-    next step up costs one insertion and one merge, with no deletion and no
-    psi pass.  Only an x without that memo has p found by deleting I from
-    it.
+    with one dimension more.  The block is a Boolean sublattice (see the
+    module docstring), so the cover is x plus the row v_j that ins_col(p, j)
+    puts into p, merged by :func:`_with_row`.  A chain stays in its block,
+    so the cover is returned with p and P in its memo, and the next step up
+    costs one insertion and one merge, with no deletion and no psi pass.
+    Only an x without that memo has p found by deleting I from it.
     """
     path = psi(x)
     ground = path.horizontals
@@ -437,9 +426,7 @@ def scd_cover(x):
     p = x.__dict__.get("_primary")
     if p is None:
         p = del_set(x, inl_pivots)
-        p.__dict__["_path"] = path
-    z = ins_set(p, [i for i in inl_pivots if i > j])
-    y = _with_row(x, j, ins_col(z, j).rows[bisect_right(z.pivots, j)])
+    y = _with_row(x, j, ins_col(p, j).rows[bisect_right(p.pivots, j)])
     y.__dict__.update(_path=path, _primary=p)
     return y
 

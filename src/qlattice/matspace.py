@@ -122,8 +122,13 @@ def rref_left(m):
     """The unique rref with the same row space: the kept rows of the
     forward elimination sorted by pivot, then back-substituted from the last
     pivot up.  Zero rows are discarded; idempotent on rrefs.  The result
-    is marked valid in its memo (see :class:`Rref`)."""
-    e = _eliminate(m.field, m.rows, m.n)
+    is marked valid in its memo (see :class:`Rref`), so a row whose length
+    is not n or with an entry outside [0, q) raises ValueError instead."""
+    n, q = m.n, m.field.q
+    for row in m.rows:
+        if len(row) != n or n and not (0 <= min(row) and max(row) < q):
+            raise ValueError(f"row {row!r} is not {n} entries in [0, {q})")
+    e = _eliminate(m.field, m.rows, n)
     order = sorted(range(len(e.rows)), key=e.pivots.__getitem__)
     rows = [e.rows[i] for i in order]
     pivots = tuple(e.pivots[i] for i in order)
@@ -133,7 +138,7 @@ def rref_left(m):
         for r in rows[:i]:
             if r[p]:
                 m.field.sub_scaled(r, r[p], prow, p)
-    x = Rref(m.field, m.n, tuple(tuple(r) for r in rows), pivots)
+    x = Rref(m.field, n, tuple(tuple(r) for r in rows), pivots)
     x.__dict__["_valid"] = True
     return x
 
@@ -163,22 +168,23 @@ def left_pivots(x):
     return frozenset(x.pivots)
 
 
+def _reduced(b, row):
+    """The row minus its entry at each pivot of the rref b times b's row
+    there, as a list: zero at every pivot of b, as b's rows are zero at each
+    other's pivots, and zero exactly when the row lies in b."""
+    r = list(row)
+    for p, brow in zip(b.pivots, b.rows):
+        if r[p - 1]:
+            b.field.sub_scaled(r, r[p - 1], brow, p - 1)
+    return r
+
+
 def subspace_leq(a, b):
-    """Containment a <= b in the subspace lattice.  The rows of the rref b
-    are zero at each other's pivots, so a row v of a lies in b exactly when
-    v - sum(v[p_i] b_i) over the pivots p_i of b is zero."""
+    """Containment a <= b in the subspace lattice: every row of a reduces
+    to zero by b (:func:`_reduced`)."""
     if a.field != b.field or a.n != b.n:
         raise ValueError("subspaces live in different ambient spaces")
-    if a.dim > b.dim:
-        return False
-    for row in a.rows:
-        r = list(row)
-        for p, brow in zip(b.pivots, b.rows):
-            if r[p - 1]:
-                b.field.sub_scaled(r, r[p - 1], brow, p - 1)
-        if any(r):
-            return False
-    return True
+    return a.dim <= b.dim and not any(any(_reduced(b, row)) for row in a.rows)
 
 
 def _subspace_counts(q, n):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from bisect import bisect_right
 from itertools import combinations, product
 
 import pytest
@@ -448,8 +449,8 @@ COVER_CASES = {2: (6, 1430, 192), 3: (5, 1454, 125), 4: (4, 172, 3),
 def test_scd_cover_matches_the_reinsertion_route(q):
     """On every subspace, the first cover (no memo) and the next one (from
     the memo the first hands on) equal ins_set(del_set(x, I), I + {j}),
-    including the covers where I has a member above j, so that the new row
-    comes from p with those members inserted first."""
+    including the covers where I has a member above j, where the row v_j of
+    p may be nonzero at those pivots of x and the merge reduces it."""
     n, covers, above = COVER_CASES[q]
     seen = [0, 0]
     for x in enumerate_subspaces(gf(q), n):
@@ -467,9 +468,9 @@ def test_scd_cover_matches_the_reinsertion_route(q):
 
 @pytest.mark.parametrize("q", ALL_FIELDS)
 def test_scd_cover_frozen_case_with_an_inessential_pivot_above_j(q):
-    """I = {4} and j = 2: the new row is the pivot-2 row of ins_col of 2
-    into ins_col(p, 4), not into p, whose row would keep a 1 at pivot 4.
-    The rows are the same on every field."""
+    """I = {4} and j = 2: the row v_2 of ins_col(p, 2) keeps a 1 at pivot 4
+    of x, and the merge clears it with x's pivot-4 row.  The rows are the
+    same on every field."""
     x = Rref(gf(q), 5, ((1, 0, 0, 0, 1), (0, 0, 0, 1, 0)), (1, 4))
     p = del_col(x, 4)
     assert p.rows == ((1, 0, 0, 1, 1),)
@@ -478,6 +479,79 @@ def test_scd_cover_frozen_case_with_an_inessential_pivot_above_j(q):
     assert y.rows == ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 0, 1, 0))
     assert y.pivots == (1, 2, 4) and vars(y)["_primary"] == p
     assert y == ins_set(p, (2, 4))
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_scd_cover_inserts_once_per_step(q, monkeypatch):
+    """Every step up a chain, the first (no memo) and each later one (from
+    the memo), makes exactly one ins_col call, of the column it adds,
+    including the first steps whose I has a member above j."""
+    n, _, above = COVER_CASES[q]
+    calls = []
+    real_ins_col = decomp.ins_col
+
+    def counting_ins_col(x, j):
+        calls.append(j)
+        return real_ins_col(x, j)
+
+    monkeypatch.setattr(decomp, "ins_col", counting_ins_col)
+    seen_above = 0
+    for x in enumerate_subspaces(gf(q), n):
+        y = x
+        while True:
+            calls.clear()
+            cover = scd_cover(y)
+            if cover is None:
+                assert calls == []
+                break
+            assert calls == sorted(set(cover.pivots) - set(y.pivots))
+            if y is x:
+                seen_above += any(i > calls[0] for i in set_and_subset(x)[1])
+            y = cover
+    assert seen_above == above
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_every_insertion_is_one_merge(q, monkeypatch):
+    """ins_col, by the bit-row kernel on F_2 and the general route on F_3,
+    ends in exactly one _with_row call."""
+    merges = []
+    real_with_row = decomp._with_row
+
+    def counting_with_row(x, j, v):
+        merges.append(j)
+        return real_with_row(x, j, v)
+
+    monkeypatch.setattr(decomp, "_with_row", counting_with_row)
+    inserted = 0
+    for x in enumerate_subspaces(gf(q), 4):
+        for j in set_and_subset(x)[0] - left_pivots(x):
+            merges.clear()
+            ins_col(x, j)
+            assert merges == [j]
+            inserted += 1
+    assert inserted
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_blocks_are_boolean_sublattices(q):
+    """Every block member at S is p + span(v_g : g in S), v_g the row that
+    ins_col(p, g) puts into p, and for every pair of members S, T:
+    member(S) + member(T) is member(S | T), and member(S & T) lies in both
+    with dimension dim S + dim T - dim(S + T)."""
+    field, n = gf(q), COVER_CASES[q][0]
+    for blk in sbd(field, n):
+        p, members = blk.primary, blk.members
+        v = {g: ins_col(p, g).rows[bisect_right(p.pivots, g)]
+             for g in blk.ground}
+        for s, x in members.items():
+            assert x == span(field, p.rows + tuple(v[g] for g in s), n)
+        for (s, x), (t, y) in combinations(members.items(), 2):
+            join = span(field, x.rows + y.rows, n)
+            assert join == members[s | t]
+            meet = members[s & t]
+            assert subspace_leq(meet, x) and subspace_leq(meet, y)
+            assert meet.dim == x.dim + y.dim - join.dim
 
 
 @pytest.mark.parametrize("q", (4, 5))

@@ -53,6 +53,15 @@ def test_rref_discards_zero_rows_and_accepts_empty():
     assert rref_left(Mat(F3, 3, ())).dim == 0
 
 
+@pytest.mark.parametrize("field, row", [(F3, (1, 3)), (F2, (1, 0, 1))])
+def test_rref_refuses_a_malformed_row_before_marking_it_valid(field, row):
+    """An entry outside [0, q) or a row longer than n raises ValueError,
+    where psi would otherwise read the result as valid (an IndexError on
+    the first, the path HH on the second)."""
+    with pytest.raises(ValueError, match="entries in"):
+        rref_left(Mat(field, 2, (row,)))
+
+
 def test_rref_idempotent_and_rowspace_preserving():
     rng = random.Random(20240501)
     for field in (F2, F3):

@@ -141,7 +141,7 @@ def test_the_memo_stays_invisible(q):
         assert set(vars(y)) - set(vars(copy)) == {"_path", "_primary"}
         assert y == copy and hash(y) == hash(copy) and repr(y) == repr(copy)
         assert pickle.loads(pickle.dumps(y)) == copy
-        # a primary's memo holds its path only, never itself
+        # a primary's memo never holds itself
         p = vars(y)["_primary"]
         assert "_primary" not in vars(p) and "_primary" not in vars(x)
     assert covers
