@@ -15,22 +15,22 @@ reads the coordinates of the section rows in that basis from
 :func:`qlattice.matspace.express_in_rows`.  Insertion needs only the row
 c (I + b^T c)^-1, which by Sherman-Morrison is the scalar multiple
 c / (1 + b . c^T); :func:`gamma_inv` remains as the reference matrix it is
-tested against.  Every insertion ends in the one rank-one merge,
-:func:`_with_row`.  Each row update and scaling in insertion, deletion and
-the merge is one call of the field's row kernel (``GF.sub_scaled``,
-``GF.scale``), the one place where row entries meet.
+tested against.  An insertion is a row builder and then the one rank-one
+merge, :func:`_with_row`, which takes the row unreduced.  Each row update
+and scaling in insertion, deletion and the merge is one call of the
+field's row kernel (``GF.sub_scaled``, ``GF.scale``), where entries meet.
 
 Over F_2 the pairing map and the scale collapse.  mu(1, x) is 1 + x, so
 phi(b) is the complement of b, every product b_i phi(b)_i is 0,
 b . phi(b)^T = 0 and the scale 1 / (1 + b . c^T) is 1.  The new row is then
 e_j plus the XOR of the tails of the basis rows whose column-j entry is 0.
-:func:`ins_col` hands q = 2 to a bit-row kernel, :func:`_ins_col_gf2`, in
-the style of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010): the rows above
-column j become ints, and one XOR elimination of the section gives the
-guard and the new row, with no field operation, no phi and no
-:func:`qlattice.matspace._eliminate`.  The general route serves every
-other field and is the reference the kernel is tested against.  Deletion
-takes the general route at every q.
+:func:`ins_col` builds the row for q = 2 by a bit-row kernel,
+:func:`_gf2_row`, in the style of M4RI (Albrecht, Bard and Hart, ACM TOMS
+2010): the rows above column j become ints, and one XOR elimination of the
+section gives the guard and the new row, with no field operation, no phi
+and no :func:`qlattice.matspace._eliminate`.  The general builder,
+:func:`_general_row`, serves every other field and is the reference the
+kernel is tested against.  Deletion takes the general route at every q.
 
 The chains of a block are the bracket chains of its ground set (Greene and
 Kleitman, JCTA 1976), built by the recursion of de Bruijn, van Ebbenhorst
@@ -50,8 +50,8 @@ block at a time; :func:`sbd` and :func:`scd` list them.
 
 A block is a Boolean sublattice: its member at S is p + span(v_g : g in
 S), v_g the row that ins_col(p, g) puts into p.  So a cover step,
-:func:`scd_cover`, is x = ins_set(p, I) plus v_j, merged by
-:func:`_with_row`: one insertion.  p and the path are handed on in the
+:func:`scd_cover`, is x = ins_set(p, I) plus v_j, reduced by x and merged
+by :func:`_with_row`: one insertion.  p and the path are handed on in the
 cover's memo (see :class:`qlattice.matspace.Rref`).
 Deletion finds p only for a subspace that carries no memo, at the first
 step of a chain.  Only this step scans the bracket word, unchecked over
@@ -169,12 +169,10 @@ def del_col(x, j):
 def ins_col(x, j):
     """Insert a pivot at the nonpivotal inessential column j: the result
     contains x with dimension one higher and the same Motzkin path.  Inverse
-    of :func:`del_col` at j.  Over F_2 the bit-row kernel
-    :func:`_ins_col_gf2` computes it; :func:`_ins_col_general` serves every
-    other field and is the reference the kernel is tested against."""
-    if x.field.q == 2:
-        return _ins_col_gf2(x, j)
-    return _ins_col_general(x, j)
+    of :func:`del_col` at j: the new row of :func:`_gf2_row` over F_2, else
+    of :func:`_general_row`, merged into x by :func:`_with_row`."""
+    return _with_row(x, j, _gf2_row(x, j) if x.field.q == 2
+                     else _general_row(x, j))
 
 
 def _not_insertable(j):
@@ -182,12 +180,12 @@ def _not_insertable(j):
         f"column {j} is not nonpivotal and inessential; cannot insert")
 
 
-def _ins_col_general(x, j):
-    """:func:`ins_col` over any field.  The new pivot row carries u . basis
-    for the section's lexically first basis, where u = c (I + b^T c)^-1 for
-    the column-j entries b of the basis rows and c = phi(b); u is the scalar
-    multiple c / (1 + b . c^T), which phi keeps defined.  The new row is
-    merged into x by :func:`_with_row`."""
+def _general_row(x, j):
+    """The new row of :func:`ins_col` over any field: e_j plus u . basis on
+    the tail, for the section's lexically first basis, where u is
+    c (I + b^T c)^-1 for the column-j entries b of the basis rows and
+    c = phi(b), the scalar multiple c / (1 + b . c^T) that phi keeps
+    defined.  Like the basis rows, it is zero at every later pivot of x."""
     cls, _, e = column_elimination(x, j)
     if cls.pivotal or cls.essential:
         raise _not_insertable(j)
@@ -199,15 +197,14 @@ def _ins_col_general(x, j):
     for coef, row in zip(u, basis):
         if coef:
             f.sub_scaled(a, f.neg(coef), row)
-    return _with_row(x, j, (0,) * (j - 1) + (1,) + tuple(a))
+    return (0,) * (j - 1) + (1,) + tuple(a)
 
 
 def _with_row(x, j, v):
     """The module's one rank-one merge: the rref of x + span(v), for a row
-    v with its leading 1 at the nonpivotal column j.  v is reduced by x,
-    keeping that 1, each row above column j is cleared there by it, it goes
-    in at its pivot's place, and every row below is kept."""
-    v = tuple(_reduced(x, v))
+    tuple v with its leading 1 at the nonpivotal column j and zero at every
+    pivot of x.  Each row above column j is cleared there by v, v goes in at
+    its pivot's place, and every row below is kept."""
     m = bisect_right(x.pivots, j)
     rows = list(x.rows)
     for i, row in enumerate(rows[:m]):
@@ -223,16 +220,16 @@ def _with_row(x, j, v):
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _ins_col_gf2(x, j):
-    """:func:`ins_col` over F_2, on the m rows above column j packed into
-    ints, bit n - c for column c.
+def _gf2_row(x, j):
+    """:func:`_general_row` over F_2, on the m rows above column j packed
+    into ints, bit n - c for column c.
 
     The guard is the forward elimination of the section (tail, column-j
     bit) by XOR: a row whose tail reduces to zero with its column-j bit left
     set puts a pivot on column j, which is then essential.  The rows whose
     tails stay independent are the lexically first basis, and the new row
     is e_j plus the XOR of the tails of those whose column-j bit is 0 (see
-    the module docstring), merged into x by :func:`_with_row`."""
+    the module docstring)."""
     n = x.n
     if not 1 <= j <= n:
         raise ValueError(f"column {j} outside [1, {n}]")
@@ -260,8 +257,8 @@ def _ins_col_gf2(x, j):
         else:
             if r:
                 raise _not_insertable(j)
-    return _with_row(x, j, (0,) * (j - 1) + tuple(
-        format(1 << w | a, f"0{w + 1}b").encode().translate(_BIT_BYTES)))
+    return (0,) * (j - 1) + tuple(
+        format(1 << w | a, f"0{w + 1}b").encode().translate(_BIT_BYTES))
 
 
 def del_set(x, cols):
@@ -412,9 +409,10 @@ def scd_cover(x):
     P) give for I, and the cover is ins_set(p, I + {j}), which contains x
     with one dimension more.  The block is a Boolean sublattice (see the
     module docstring), so the cover is x plus the row v_j that ins_col(p, j)
-    puts into p, merged by :func:`_with_row`.  A chain stays in its block,
-    so the cover is returned with p and P in its memo, and the next step up
-    costs one insertion and one merge, with no deletion and no psi pass.
+    puts into p, reduced by x (it can be nonzero at the pivots of I) and
+    merged by :func:`_with_row`.  A chain stays in its block, so the cover
+    is returned with p and P in its memo, and the next step up costs one
+    insertion and one merge, with no deletion and no psi pass.
     Only an x without that memo has p found by deleting I from it.
     """
     path = psi(x)
@@ -426,7 +424,8 @@ def scd_cover(x):
     p = x.__dict__.get("_primary")
     if p is None:
         p = del_set(x, inl_pivots)
-    y = _with_row(x, j, ins_col(p, j).rows[bisect_right(p.pivots, j)])
+    v = ins_col(p, j).rows[bisect_right(p.pivots, j)]
+    y = _with_row(x, j, tuple(_reduced(x, v)))
     y.__dict__.update(_path=path, _primary=p)
     return y
 

@@ -191,7 +191,7 @@ def expected_insertions(field, a, b, c, d, e, f):
     return ins7, ins4, ins47
 
 
-@pytest.mark.parametrize("q", (2, 3))
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
 def test_insertions_match_closed_form(q):
     field = gf(q)
     for a, d, e, f in product(field.units(), repeat=4):
@@ -450,7 +450,7 @@ def test_scd_cover_matches_the_reinsertion_route(q):
     """On every subspace, the first cover (no memo) and the next one (from
     the memo the first hands on) equal ins_set(del_set(x, I), I + {j}),
     including the covers where I has a member above j, where the row v_j of
-    p may be nonzero at those pivots of x and the merge reduces it."""
+    p may be nonzero at those pivots of x and scd_cover reduces it."""
     n, covers, above = COVER_CASES[q]
     seen = [0, 0]
     for x in enumerate_subspaces(gf(q), n):
@@ -511,26 +511,42 @@ def test_scd_cover_inserts_once_per_step(q, monkeypatch):
     assert seen_above == above
 
 
-@pytest.mark.parametrize("q", (2, 3))
+@pytest.mark.parametrize("q", ALL_FIELDS)
 def test_every_insertion_is_one_merge(q, monkeypatch):
-    """ins_col, by the bit-row kernel on F_2 and the general route on F_3,
-    ends in exactly one _with_row call."""
-    merges = []
-    real_with_row = decomp._with_row
+    """ins_col, by the bit-row kernel on F_2 and the general builder on
+    every other field, ends in exactly one _with_row call and reduces no
+    row; each scd_cover step reduces its one row by x once."""
+    merges, reductions = [], []
+    real_with_row, real_reduced = decomp._with_row, decomp._reduced
 
     def counting_with_row(x, j, v):
         merges.append(j)
         return real_with_row(x, j, v)
 
+    def counting_reduced(b, row):
+        reductions.append(b)
+        return real_reduced(b, row)
+
     monkeypatch.setattr(decomp, "_with_row", counting_with_row)
-    inserted = 0
-    for x in enumerate_subspaces(gf(q), 4):
+    monkeypatch.setattr(decomp, "_reduced", counting_reduced)
+    inserted = steps = 0
+    for x in enumerate_subspaces(gf(q), 4 if q <= 3 else 3):
         for j in set_and_subset(x)[0] - left_pivots(x):
             merges.clear()
+            reductions.clear()
             ins_col(x, j)
-            assert merges == [j]
+            assert merges == [j] and reductions == []
             inserted += 1
-    assert inserted
+        y = x
+        while True:
+            reductions.clear()
+            cover = scd_cover(y)
+            if cover is None:
+                break
+            assert reductions == [y]
+            steps += 1
+            y = cover
+    assert inserted and steps
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS)
@@ -746,13 +762,42 @@ def test_cover_walk_on_every_field(x):
     assert 2 * lo.dim >= x.n
 
 
-def insertion_by(route, x, j):
-    """(rows, pivots) of route(x, j), or the text of its ValueError."""
+def insertion_by(builder, x, j):
+    """The new row builder(x, j), or the text of its ValueError; ins_col
+    merges either builder's row the same way, so equal rows are equal
+    insertions."""
     try:
-        y = route(x, j)
+        return builder(x, j)
     except ValueError as exc:
         return str(exc)
-    return y.rows, y.pivots
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_row_builders_keep_the_merge_contract(q):
+    """Every row builder returns a row tuple that is 1 at j and 0 before j
+    and at every pivot of x, the precondition of _with_row, and the merge
+    of that row is the span of x and the row; at a column that is not
+    insertable the builder raises."""
+    field = gf(q)
+    builders = ((decomp._gf2_row, decomp._general_row) if q == 2
+                else (decomp._general_row,))
+    merged = 0
+    for n in range(5 if q <= 3 else 4):
+        for x in enumerate_subspaces(field, n):
+            free = set_and_subset(x)[0] - left_pivots(x)
+            for j, builder in product(range(1, n + 1), builders):
+                if j not in free:
+                    with pytest.raises(ValueError, match="cannot insert"):
+                        builder(x, j)
+                    continue
+                v = builder(x, j)
+                assert isinstance(v, tuple) and len(v) == n
+                assert v[j - 1] == 1 and not any(v[:j - 1])
+                assert not any(v[p - 1] for p in x.pivots)
+                assert decomp._with_row(x, j, v) == span(field,
+                                                         x.rows + (v,), n)
+                merged += 1
+    assert merged
 
 
 def test_gf2_kernel_matches_the_general_route_exhaustively():
@@ -761,8 +806,8 @@ def test_gf2_kernel_matches_the_general_route_exhaustively():
     for n in range(7):
         for x in enumerate_subspaces(F2, n):
             for j in range(n + 2):
-                assert (insertion_by(decomp._ins_col_gf2, x, j)
-                        == insertion_by(decomp._ins_col_general, x, j))
+                assert (insertion_by(decomp._gf2_row, x, j)
+                        == insertion_by(decomp._general_row, x, j))
 
 
 def test_gf2_insertion_is_undone_by_deletion():
@@ -787,8 +832,8 @@ def test_gf2_kernel_matches_the_general_route_on_wide_rows(n, seed):
     tail at j = n and the spaces F_2^0 and F_2^1 are always reached."""
     x = sample_subspace(F2, n, random.Random(seed))
     for j in range(n + 2):
-        got = insertion_by(decomp._ins_col_gf2, x, j)
-        assert got == insertion_by(decomp._ins_col_general, x, j)
+        got = insertion_by(decomp._gf2_row, x, j)
+        assert got == insertion_by(decomp._general_row, x, j)
         if not isinstance(got, str):
             assert del_col(ins_col(x, j), j) == x
 

@@ -30,6 +30,14 @@ GOLDEN = {
         "8b734cfa842bbc749dec435eb39b59fe55664a2e83741abf44707672ff3af76a"),
     ("sbd", 5, 2, True): (334,
         "900b1ee694063403702928b3deeb8da83bef05dda461fec3f002f259c5dde72a"),
+    ("sbd", 7, 3, False): (2092,
+        "7197e03e843ef83a1b69e73341f01f5e96b6e03dce3f4e68e111702ec8f85709"),
+    ("sbd", 7, 3, True): (3958,
+        "4bd5e0ed3d96077f294fba690f8e07c294fc3cf16733af29ce00268a8c2d0a6e"),
+    ("sbd", 8, 3, False): (2700,
+        "1f11ab8951af7888bb115116803910b7243d2520c5e888e434cd25ed3ba09b89"),
+    ("sbd", 8, 3, True): (5110,
+        "378bc88071d05e3849cb9aa094e74cb9b1f9125ff2cbceb82bc49a6611a45f16"),
     ("sbd", 9, 2, False): (308,
         "991a7708ae8fbf64b4cb6a9a0c243afc2960d726272fd0a269a7c4bf6323957c"),
     ("sbd", 9, 2, True): (602,
@@ -50,6 +58,14 @@ GOLDEN = {
         "4efb85376fbc13849d1a64c46d7cc7833e4cd9154f588ee178ee228a51e7f957"),
     ("scd", 5, 2, True): (123,
         "fe93967fe64dc3b0d73a29a953c0fcaabdcdb2d7835da8b8ae75f1dc22a8263c"),
+    ("scd", 7, 3, False): (2755,
+        "5c4d6d81f8f573a2673415747ca2218a1a30c7df4e4396d0ab1ad6e223f6a098"),
+    ("scd", 7, 3, True): (2291,
+        "386f8217c1083fcc35a917a83feeb9393d049dd4ec6f57defbadfcced020a370"),
+    ("scd", 8, 3, False): (3523,
+        "1f6af6218e41df1195662357c5c0e790e8af84f3dc6b3b4e4b550ba64334ba8d"),
+    ("scd", 8, 3, True): (2915,
+        "5c45a91ad30d8b91abb88b43d2ec70d371a67522d95730cfbb9fbcdadae46b0d"),
     ("scd", 9, 2, False): (309,
         "dac584682a6a43f95ce08ff2096ab79dd7368a4e3c5dc0b3595766806197942b"),
     ("scd", 9, 2, True): (171,
