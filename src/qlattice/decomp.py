@@ -8,29 +8,31 @@ path-preserving); their multi-column iterates; the Boolean block spanned by
 a primary rref; and the chain decomposition obtained by transporting the
 bracket-matching chains of a finite Boolean algebra through the insertions.
 
-Over any field, insertion and deletion take their guard and the lexically
-first basis of the section from the one forward elimination that
-classifies the column (:func:`qlattice.psi.column_elimination`).  Deletion
-reads the coordinates of the section rows in that basis from
+Deletion, and insertion over every field but F_2, take their guard and
+the lexically first basis of the section from the one forward elimination
+that classifies the column (:func:`qlattice.psi.column_elimination`).
+Deletion reads the coordinates of the section rows in that basis from
 :func:`qlattice.matspace.express_in_rows`.  Insertion needs only the row
-c (I + b^T c)^-1, which by Sherman-Morrison is the scalar multiple
-c / (1 + b . c^T); :func:`gamma_inv` remains as the reference matrix it is
-tested against.  An insertion is a row builder and then the one rank-one
-merge, :func:`_with_row`, which takes the row unreduced.  Each row update
-and scaling in insertion, deletion and the merge is one call of the
-field's row kernel (``GF.sub_scaled``, ``GF.scale``), where entries meet.
-
-Over F_2 the pairing map and the scale collapse.  mu(1, x) is 1 + x, so
-phi(b) is the complement of b, every product b_i phi(b)_i is 0,
-b . phi(b)^T = 0 and the scale 1 / (1 + b . c^T) is 1.  The new row is then
-e_j plus the XOR of the tails of the basis rows whose column-j entry is 0.
-:func:`ins_col` builds the row for q = 2 by a bit-row kernel,
-:func:`_gf2_row`, in the style of M4RI (Albrecht, Bard and Hart, ACM TOMS
-2010): the rows above column j become ints, and one XOR elimination of the
-section gives the guard and the new row, with no field operation, no phi
-and no :func:`qlattice.matspace._eliminate`.  The general builder,
+c (I + b^T c)^-1 for the column-j entries b of the basis rows and
+c = phi(b), which by Sherman-Morrison is c / (1 + b . c^T).  phi keeps its
+running dot at l - 1, l the last nonzero entry of b seen so far (1 before
+any): at a nonzero x the dot gains x mu(-l, x) = x - l and moves to x - 1.
+So 1 + b . phi(b)^T is the last nonzero entry of b, or 1 when b = 0, and
+the row is phi(b) divided by it; :func:`gamma_inv` remains as the
+reference matrix it is tested against.  Over F_2 that entry is 1 and phi(b)
+is the complement of b (mu(1, x) is 1 + x), so the new row is e_j plus the
+XOR of the tails of the basis rows whose column-j entry is 0.
+:func:`ins_col` builds it for q = 2 by a bit-row kernel, :func:`_gf2_row`,
+in the style of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010): the rows
+above column j become ints, and its own XOR elimination of the section
+gives the guard and the new row, with no field operation, no phi and no
+:func:`qlattice.matspace._eliminate`.  The general builder,
 :func:`_general_row`, serves every other field and is the reference the
 kernel is tested against.  Deletion takes the general route at every q.
+An insertion is a row builder and then the one rank-one merge,
+:func:`_with_row`, which takes the row unreduced.  Each row update in
+insertion, deletion and the merge is one call of the field's row kernel,
+``GF.sub_scaled``, where entries meet.
 
 The chains of a block are the bracket chains of its ground set (Greene and
 Kleitman, JCTA 1976), built by the recursion of de Bruijn, van Ebbenhorst
@@ -52,10 +54,10 @@ A block is a Boolean sublattice: its member at S is p + span(v_g : g in
 S), v_g the row that ins_col(p, g) puts into p.  So a cover step,
 :func:`scd_cover`, is x = ins_set(p, I) plus v_j, reduced by x and merged
 by :func:`_with_row`: one insertion.  p and the path are handed on in the
-cover's memo (see :class:`qlattice.matspace.Rref`).
-Deletion finds p only for a subspace that carries no memo, at the first
-step of a chain.  Only this step scans the bracket word, unchecked over
-the ground set its path keeps, in :func:`_bracket_scan`.
+cover's memo (see :class:`qlattice.matspace.Rref`), and deletion finds p
+only for a subspace that carries no memo, at the first step of a chain.
+Every step scans the bracket word, unchecked over the ground set its path
+keeps, in :func:`_bracket_scan`.
 """
 
 from __future__ import annotations
@@ -127,18 +129,6 @@ def gamma_inv(field, b, c):
     return Mat(field, s, rows)
 
 
-def _inverse_update_row(field, b, c):
-    """The row c (I + b^T c)^-1, computed as c / (1 + b . c^T) without
-    forming the matrix; equals c times :func:`gamma_inv` (b, c)."""
-    add, mul = field.add, field.mul
-    dot = 0
-    for x, y in zip(b, c):
-        dot = add(dot, mul(x, y))
-    u = list(c)
-    field.scale(field.inv(add(1, dot)), u)
-    return u
-
-
 def del_col(x, j):
     """Remove the pivotal inessential column j from the rref: the result
     spans a codimension-1 subspace of x with the pivot at j gone and the
@@ -184,19 +174,20 @@ def _general_row(x, j):
     """The new row of :func:`ins_col` over any field: e_j plus u . basis on
     the tail, for the section's lexically first basis, where u is
     c (I + b^T c)^-1 for the column-j entries b of the basis rows and
-    c = phi(b), the scalar multiple c / (1 + b . c^T) that phi keeps
-    defined.  Like the basis rows, it is zero at every later pivot of x."""
+    c = phi(b), that is phi(b) over the last nonzero entry of b (1 when
+    b = 0; see the module docstring).  Like the basis rows, it is zero at
+    every later pivot of x."""
     cls, _, e = column_elimination(x, j)
     if cls.pivotal or cls.essential:
         raise _not_insertable(j)
     f = x.field
     basis = [x.rows[i][j:] for i in e.kept]
     b = tuple(x.rows[i][j - 1] for i in e.kept)
-    u = _inverse_update_row(f, b, phi(f, b))
+    minus_scale = f.neg(f.inv(next((v for v in reversed(b) if v), 1)))
     a = [0] * (x.n - j)
-    for coef, row in zip(u, basis):
+    for coef, row in zip(phi(f, b), basis):
         if coef:
-            f.sub_scaled(a, f.neg(coef), row)
+            f.sub_scaled(a, f.mul(minus_scale, coef), row)
     return (0,) * (j - 1) + (1,) + tuple(a)
 
 

@@ -16,6 +16,13 @@ class TooLargeError(ValueError):
     """Raised when an enumeration would exceed the configured size ceiling."""
 
 
+def _check_length(n):
+    """ValueError unless the length or dimension n is nonnegative: every
+    running count of an enumeration starts here."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+
+
 def _check_ceiling(counts, max_size, what):
     """Raise TooLargeError when the running counts ``counts`` of an
     enumeration, nondecreasing up to its total, pass ``max_size``

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import _check_ceiling
+from .errors import _check_ceiling, _check_length
 from .motzkin import MotzkinPath, _down_height_products
 
 _CYCLE_RE = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]")
@@ -84,6 +84,7 @@ def parse_involution(s, n=None):
 
 def _involution_counts(n):
     """I(0), ..., I(n), by I(m+1) = I(m) + m * I(m-1)."""
+    _check_length(n)
     prev, cur = 0, 1
     for m in range(n + 1):
         yield cur

@@ -30,7 +30,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .algebra import GF, gf
-from .errors import _check_ceiling
+from .errors import _check_ceiling, _check_length
 
 
 @dataclass(frozen=True)
@@ -190,6 +190,7 @@ def subspace_leq(a, b):
 def _subspace_counts(q, n):
     """G(0), ..., G(n), the subspace counts of F_q^m, by the two-term
     recurrence G(m+1) = 2 G(m) + (q^m - 1) G(m-1)."""
+    _check_length(n)
     prev, cur = 0, 1
     for m in range(n + 1):
         yield cur

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import QPoly
-from .errors import _check_ceiling
+from .errors import _check_ceiling, _check_length
 
 
 @lru_cache(maxsize=None)
@@ -125,6 +125,7 @@ def weight_sums_by_downs(n):
     summed weight of all prefixes that reach each state; a height above the
     number of steps left can no longer return to the axis and is dropped.
     """
+    _check_length(n)
     sums = {(0, 0): QPoly.one()}
     for left in range(n - 1, -1, -1):  # steps left after this one
         nxt = {}
@@ -144,6 +145,7 @@ def weight_sums_by_downs(n):
 
 def _motzkin_numbers(n):
     """M(0), ..., M(n), by (i + 2) M(i) = (2i + 1) M(i-1) + 3(i - 1) M(i-2)."""
+    _check_length(n)
     prev, cur = 0, 1
     for i in range(1, n + 2):
         yield cur

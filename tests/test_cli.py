@@ -118,6 +118,43 @@ def test_cover_top(tmp_path, capsys):
     assert json.loads(out) == {"top": True, "cover": None}
 
 
+#: One primary of F_q^6 per non-binary field and its cover, text and
+#: --json: each step inserts through decomp._general_row with b of two
+#: nonzero entries, the last of them not 1.
+COVER_GOLDENS = {
+    3: ("1 0 2 0 2 2\n0 1 2 0 0 2",
+        "1 0 0 0 1 1\n0 1 0 0 2 1\n0 0 1 0 2 2",
+        [[1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 2, 1], [0, 0, 1, 0, 2, 2]]),
+    4: ("1 0 2 1 1 3\n0 1 2 1 0 2",
+        "1 0 0 3 3 2\n0 1 0 3 2 3\n0 0 1 1 1 3",
+        [[1, 0, 0, 3, 3, 2], [0, 1, 0, 3, 2, 3], [0, 0, 1, 1, 1, 3]]),
+    5: ("1 0 4 4 4 1\n0 1 2 3 3 4",
+        "1 0 0 4 4 0\n0 1 0 3 3 1\n0 0 1 0 0 4",
+        [[1, 0, 0, 4, 4, 0], [0, 1, 0, 3, 3, 1], [0, 0, 1, 0, 0, 4]]),
+    7: ("1 0 2 6 0 2\n0 1 2 6 3 1",
+        "1 0 0 3 0 1\n0 1 0 3 3 0\n0 0 1 5 0 4",
+        [[1, 0, 0, 3, 0, 1], [0, 1, 0, 3, 3, 0], [0, 0, 1, 5, 0, 4]]),
+    8: ("1 0 2 7 3 0\n0 1 3 7 2 2",
+        "1 0 0 1 3 3\n0 1 0 2 2 5\n0 0 1 3 0 4",
+        [[1, 0, 0, 1, 3, 3], [0, 1, 0, 2, 2, 5], [0, 0, 1, 3, 0, 4]]),
+    9: ("1 0 7 0 5 3\n0 1 2 8 1 6",
+        "1 0 0 8 7 1\n0 1 0 2 2 8\n0 0 1 3 1 2",
+        [[1, 0, 0, 8, 7, 1], [0, 1, 0, 2, 2, 8], [0, 0, 1, 3, 1, 2]]),
+}
+
+
+@pytest.mark.parametrize("q", sorted(COVER_GOLDENS))
+def test_cover_golden_on_non_binary_fields(tmp_path, capsys, q):
+    rows, cover, cover_rows = COVER_GOLDENS[q]
+    f = tmp_path / "span.txt"
+    f.write_text(f"{q} 6 2\n{rows}\n")
+    code, out, _ = run(capsys, "cover", "--matrix", str(f))
+    assert code == 0 and out == f"{q} 6 3\n{cover}\n"
+    code, out, _ = run(capsys, "cover", "--matrix", str(f), "--json")
+    assert code == 0 and out == json.dumps(
+        {"top": False, "cover": {"q": q, "n": 6, "rows": cover_rows}}) + "\n"
+
+
 def test_identity_commands(capsys):
     code, out, _ = run(capsys, "identity", "fs", "--n", "5")
     assert code == 0 and "ok" in out

@@ -18,7 +18,6 @@ from qlattice import (MotzkinPath, Rref, TooLargeError, boolean_block,
                       subspaces_with_paths, zero_subspace)
 from qlattice import decomp, identities
 from qlattice.acceptance import _eight_col_rref
-from qlattice.decomp import _inverse_update_row
 
 F2 = gf(2)
 F3 = gf(3)
@@ -131,7 +130,28 @@ def row_times_matrix(field, vec, rows):
     return out
 
 
+def last_nonzero(b):
+    """The last nonzero entry of b, 1 for the zero vector."""
+    return next((v for v in reversed(b) if v), 1)
+
+
+def test_phi_dot_is_the_last_nonzero_entry_minus_one():
+    """1 + b . phi(b)^T is the last nonzero entry of b: the law that gives
+    insertion's row in closed form."""
+    vectors = [(q, s) for q in (2, 3, 4, 5) for s in range(5)]
+    vectors += [(q, s) for q in (7, 8, 9) for s in range(4)]
+    for q, s in vectors:
+        field = gf(q)
+        for b in product(range(q), repeat=s):
+            dot = 1
+            for x, y in zip(b, phi(field, b)):
+                dot = field.add(dot, field.mul(x, y))
+            assert dot == last_nonzero(b), (q, b)
+
+
 def test_scalar_update_matches_gamma_inv():
+    """The closed-form row of insertion, phi(b) over the last nonzero entry
+    of b, is c (I + b^T c)^-1 for c = phi(b)."""
     vectors = [(q, b) for q in (2, 3, 4, 5) for s in range(4)
                for b in product(range(q), repeat=s)]
     rng = random.Random(5)
@@ -140,7 +160,8 @@ def test_scalar_update_matches_gamma_inv():
     for q, b in vectors:
         field = gf(q)
         c = phi(field, b)
-        assert _inverse_update_row(field, b, c) == row_times_matrix(
+        scale = field.inv(last_nonzero(b))
+        assert [field.mul(scale, y) for y in c] == row_times_matrix(
             field, c, gamma_inv(field, b, c).rows)
 
 

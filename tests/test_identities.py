@@ -4,8 +4,11 @@ import pytest
 
 import qlattice.identities
 from qlattice import (QPoly, TooLargeError, biane, enumerate_involutions,
-                      enumerate_paths, fiber_census, galois, gf,
-                      goldman_rota_check, qbinomial, verify_ds, verify_fs)
+                      enumerate_paths, enumerate_subspaces, fiber_census,
+                      galois, gf, goldman_rota_check, involution_count,
+                      motzkin_number, qbinomial, sbd, scd, subspace_count,
+                      subspaces_with_paths, verify_ds, verify_fs,
+                      weight_sums_by_downs)
 from qlattice.identities import _ds_fibers
 from qlattice.motzkin import step_weight
 
@@ -262,3 +265,29 @@ def test_census_totals_and_all_h_row():
             flat = next(r for r in rows if r.path.steps == "H" * n)
             assert flat.primary_count == 1
             assert flat.block_size == 2**n
+
+
+@pytest.mark.parametrize("entry", [
+    lambda n: list(enumerate_subspaces(gf(2), n)),
+    lambda n: list(subspaces_with_paths(gf(3), n)),
+    lambda n: sbd(gf(2), n),
+    lambda n: scd(gf(3), n),
+    lambda n: fiber_census(gf(2), n),
+    lambda n: list(enumerate_paths(n)),
+    lambda n: list(enumerate_involutions(n)),
+    lambda n: verify_ds(n),
+    lambda n: verify_fs(n),
+    lambda n: weight_sums_by_downs(n),
+    lambda n: subspace_count(2, n),
+    lambda n: motzkin_number(n),
+    lambda n: involution_count(n),
+], ids=["enumerate_subspaces", "subspaces_with_paths", "sbd", "scd",
+        "fiber_census", "enumerate_paths", "enumerate_involutions",
+        "verify_ds", "verify_fs", "weight_sums_by_downs", "subspace_count",
+        "motzkin_number", "involution_count"])
+def test_library_refuses_a_negative_n(entry):
+    for n in (-1, -5):
+        with pytest.raises(ValueError) as got:
+            entry(n)
+        assert type(got.value) is ValueError
+        assert str(got.value) == f"n must be nonnegative, got {n}"
