@@ -9,11 +9,11 @@ also takes --csv, and with --json reports a violated invariant as the object
 that enumerate (paths, involutions, sbd, scd, census, identity) take
 --max-size, which like QLATTICE_MAX_SIZE overrides the enumeration ceiling;
 identity fs enumerates nothing.  Every command but sbd, scd and census builds
-its text and JSON forms and prints one through ``_emit``; those three keep
-their own print loops, so a bulk result is formatted in one form only.  sbd
-and scd print from the decomposition generators one block at a time, their
---json arrays included (``_print_json_list``), so neither holds more than
-one block in memory; the bytes are those of printing the whole result.
+its text and JSON forms and prints one through ``_emit``.  Every form of
+those three goes through one writer, ``_print_joined``, one piece per block,
+chain or census row, so a bulk result is formatted in one form only, and
+sbd and scd, which print from the decomposition generators, hold no more
+than one block in memory; the bytes are those of printing the whole result.
 """
 
 from __future__ import annotations
@@ -131,47 +131,47 @@ def _cmd_classify(args):
     return 0
 
 
-def _print_json_list(items, head="", tail=""):
-    """Print head, the JSON array of ``items`` and tail: the bytes of
-    ``print(head + json.dumps(list(items)) + tail)``, written one item at a
-    time.  The first item is computed before anything is written, so an
-    error it raises (the enumeration ceiling) leaves stdout empty."""
-    write, sep = sys.stdout.write, head + "["
-    for item in items:
-        write(sep + json.dumps(item))
-        sep = ", "
-    # sep is still the opening bracket when there was no item
-    write(("" if sep == ", " else sep) + "]" + tail + "\n")
+def _print_joined(pieces, sep, head="", tail=""):
+    """Print head, the pieces joined by sep, and tail: the bytes of
+    ``print(head + sep.join(pieces) + tail)``, written one piece at a time.
+    The first piece is made before anything is written, so an error it
+    raises (the enumeration ceiling) leaves stdout empty."""
+    write, first = sys.stdout.write, True
+    for piece in pieces:
+        write((head if first else sep) + piece)
+        first = False
+    write((head if first else "") + tail + "\n")
 
 
 def _cmd_sbd(args):
     blocks = sbd_blocks(gf(args.q), args.n, _max_size(args))
     if args.json:
-        _print_json_list({"path": b.path.steps,
-                          "primary_rref": [list(r) for r in b.primary.rows],
-                          "set": list(b.ground),
-                          "members": b.size} for b in blocks)
+        _print_joined((json.dumps({
+            "path": b.path.steps,
+            "primary_rref": [list(r) for r in b.primary.rows],
+            "set": list(b.ground), "members": b.size}) for b in blocks),
+            ", ", "[", "]")
     else:
         texts = {}
-        for b in blocks:
-            print(f"{b.path.steps or '-'} members={b.size} "
-                  f"set={sorted(b.ground)} "
-                  f"primary=[{_rref_text(b.primary, texts)}]")
+        _print_joined((f"{b.path.steps or '-'} members={b.size} "
+                       f"set={sorted(b.ground)} "
+                       f"primary=[{_rref_text(b.primary, texts)}]"
+                       for b in blocks), "\n")
     return 0
 
 
 def _cmd_scd(args):
     chains = scd_chains(gf(args.q), args.n, _max_size(args))
     if args.json:
-        _print_json_list(([[list(r) for r in x.rows] for x in chain]
-                          for chain in chains),
-                         f'{{"q": {args.q}, "n": {args.n}, "chains": ', "}")
+        _print_joined((json.dumps([[list(r) for r in x.rows] for x in chain])
+                       for chain in chains), ", ",
+                      f'{{"q": {args.q}, "n": {args.n}, "chains": [', "]}")
     else:
         texts = {}
-        for i, chain in enumerate(chains, start=1):
-            print(f"chain {i} (ranks {chain[0].dim}..{chain[-1].dim})")
-            for x in chain:
-                print(f"  [{_rref_text(x, texts)}]")
+        _print_joined(("\n".join([
+            f"chain {i} (ranks {chain[0].dim}..{chain[-1].dim})",
+            *(f"  [{_rref_text(x, texts)}]" for x in chain)])
+            for i, chain in enumerate(chains, start=1)), "\n")
     return 0
 
 
@@ -210,24 +210,24 @@ def _cmd_census(args):
         print(f"error: census invariant violated: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps([{
+        _print_joined((json.dumps({
             "path": r.path.steps, "downs": r.path.down_count,
             "predicted_poly": r.predicted.to_list(),
             "primary_count": r.primary_count,
             "block_size": r.block_size, "fiber_size": r.fiber_size,
-        } for r in rows]))
-        return 0
-    if args.csv:
-        print("path,downs,predicted_poly,primary_count,block_size,fiber_size")
-        for r in rows:
-            poly = "[" + ",".join(str(c) for c in r.predicted.to_list()) + "]"
-            print(f"{r.path.steps},{r.path.down_count},{poly},"
-                  f"{r.primary_count},{r.block_size},{r.fiber_size}")
-        return 0
-    for r in rows:
-        print(f"{r.path.steps or '-':12s} downs={r.path.down_count} "
-              f"primaries={r.primary_count} block={r.block_size} "
-              f"fiber={r.fiber_size} predicted={r.predicted}")
+        }) for r in rows), ", ", "[", "]")
+    elif args.csv:
+        _print_joined((f"{r.path.steps},{r.path.down_count},"
+                       f"[{','.join(map(str, r.predicted.to_list()))}],"
+                       f"{r.primary_count},{r.block_size},{r.fiber_size}"
+                       for r in rows), "\n",
+                      "path,downs,predicted_poly,primary_count,block_size,"
+                      "fiber_size\n")
+    else:
+        _print_joined((f"{r.path.steps or '-':12s} downs={r.path.down_count} "
+                       f"primaries={r.primary_count} block={r.block_size} "
+                       f"fiber={r.fiber_size} predicted={r.predicted}"
+                       for r in rows), "\n")
     return 0
 
 

@@ -45,10 +45,10 @@ insertion per member besides its primary.  A primary is a subspace whose
 dimension equals the down count of its path, that is one with no column in
 L & R, and its ground set is the H steps of that path.  Both decompositions
 take each block's primary and path from the walk
-:func:`qlattice.psi.subspaces_with_paths` with the non-primaries pruned.
-A block's chains depend on its primary and path alone, so the generators
-:func:`sbd_blocks` and :func:`scd_chains` yield the decompositions one
-block at a time; :func:`sbd` and :func:`scd` list them.
+:func:`qlattice.psi.subspaces_with_paths` with the non-primaries pruned, in
+:func:`sbd_blocks`, which :func:`scd_chains` reads.  A block's chains depend
+on its primary and path alone, so both yield the decompositions one block
+at a time; :func:`sbd` and :func:`scd` list them.
 
 A block is a Boolean sublattice: its member at S is p + span(v_g : g in
 S), v_g the row that ins_col(p, g) puts into p.  So a cover step,
@@ -436,13 +436,12 @@ class ChainDecomposition:
 
 
 def scd_chains(field, n, max_size=None):
-    """The chains of :func:`scd` one block at a time, the blocks in
-    enumeration order: :func:`_chains` builds a block's chains from its
-    primary, and they are yielded with their minima by size and then
-    lexicographically, that is by dimension and then pivots."""
-    for x, path in subspaces_with_paths(field, n, max_size,
-                                        primary_only=True):
-        yield from sorted(_chains(x, path.horizontals, ins_col),
+    """The chains of :func:`scd` one block at a time, the blocks of
+    :func:`sbd_blocks` in its order: :func:`_chains` builds a block's chains
+    from its primary, and they are yielded with their minima by size and
+    then lexicographically, that is by dimension and then pivots."""
+    for block in sbd_blocks(field, n, max_size):
+        yield from sorted(_chains(block.primary, block.ground, ins_col),
                           key=lambda chain: (chain[0].dim, chain[0].pivots))
 
 

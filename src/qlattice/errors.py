@@ -18,7 +18,8 @@ class TooLargeError(ValueError):
 
 def _check_length(n):
     """ValueError unless the length or dimension n is nonnegative: every
-    running count of an enumeration starts here."""
+    running count of an enumeration, and every constructor of a subspace or
+    an involution, starts here."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
 

@@ -19,6 +19,7 @@ class Involution:
     __slots__ = ("n", "cycles")
 
     def __init__(self, n, cycles):
+        _check_length(n)
         cyc = tuple(sorted((int(i), int(j)) for i, j in cycles))
         seen = set()
         for i, j in cyc:

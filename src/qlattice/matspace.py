@@ -122,9 +122,11 @@ def rref_left(m):
     """The unique rref with the same row space: the kept rows of the
     forward elimination sorted by pivot, then back-substituted from the last
     pivot up.  Zero rows are discarded; idempotent on rrefs.  The result
-    is marked valid in its memo (see :class:`Rref`), so a row whose length
-    is not n or with an entry outside [0, q) raises ValueError instead."""
+    is marked valid in its memo (see :class:`Rref`), so a negative n, or a
+    row whose length is not n or with an entry outside [0, q), raises
+    ValueError instead."""
     n, q = m.n, m.field.q
+    _check_length(n)
     for row in m.rows:
         if len(row) != n or n and not (0 <= min(row) and max(row) < q):
             raise ValueError(f"row {row!r} is not {n} entries in [0, {q})")
@@ -149,10 +151,12 @@ def span(field, vectors, n):
 
 
 def zero_subspace(field, n):
+    _check_length(n)
     return Rref(field, n, (), ())
 
 
 def full_space(field, n):
+    _check_length(n)
     rows = tuple(tuple(1 if t == i else 0 for t in range(n)) for i in range(n))
     return Rref(field, n, rows, tuple(range(1, n + 1)))
 
@@ -228,16 +232,17 @@ def enumerate_subspaces(field, n, max_size=None):
 
 
 def is_valid_rref(x):
-    """Structural check of the rref conditions: pivots strictly increasing
-    in [1, n], one row of length n per pivot, entries in [0, q), each row
-    zero before its pivot and every pivot column the unit column of its row.
+    """Structural check of the rref conditions: n nonnegative, pivots
+    strictly increasing in [1, n], one row of length n per pivot, entries
+    in [0, q), each row zero before its pivot and every pivot column the
+    unit column of its row.
     :func:`qlattice.psi.psi`, ``classify_column``,
     ``path_from_classification`` and ``is_primary`` run it on a caller's
     Rref that carries neither a path nor the mark of :func:`rref_left` in
     its memo."""
     pivots = list(x.pivots)
     n, k = x.n, len(pivots)
-    if pivots != sorted(set(pivots)) or len(x.rows) != k:
+    if n < 0 or pivots != sorted(set(pivots)) or len(x.rows) != k:
         return False
     if pivots and not (1 <= pivots[0] and pivots[-1] <= n):
         return False

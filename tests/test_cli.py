@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlattice.cli
 import qlattice.identities
@@ -319,10 +323,12 @@ def test_max_size_only_where_something_is_enumerated():
     (("scd", "--q", "2", "--n", "4"), "F_2^4 has 67 subspaces"),
     (("sbd", "--q", "3", "--n", "3", "--json"), "F_3^3 has 28 subspaces"),
     (("scd", "--q", "2", "--n", "4", "--json"), "F_2^4 has 67 subspaces"),
+    (("census", "--q", "3", "--n", "3", "--json"), "F_3^3 has 28 subspaces"),
+    (("census", "--q", "2", "--n", "4", "--csv"), "F_2^4 has 67 subspaces"),
     (("involutions", "--n", "5"), "26 involutions on [5]"),
     (("identity", "ds", "--n", "5"), "26 involutions on [5]")],
-    ids=["census", "sbd", "scd", "sbd-json", "scd-json", "involutions",
-         "identity-ds"])
+    ids=["census", "sbd", "scd", "sbd-json", "scd-json", "census-json",
+         "census-csv", "involutions", "identity-ds"])
 def test_enumeration_ceilings_are_exact(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--max-size", "10")
     assert code == 2 and out == ""
@@ -466,3 +472,94 @@ def test_selftest_reports_each_key_once(capsys):
 def test_selftest_unknown_key(capsys):
     code, _, err = run(capsys, "selftest", "--only", "c99")
     assert code == 2 and "unknown check keys" in err
+
+
+#: Edge values of the numeric options; "x" and "" are not integers, and 10
+#: is past the largest supported q.
+EDGE_N = ("-2", "-1", "0", "1", "2", "3", "x", "")
+EDGE_Q = ("-1", "0", "1", "2", "3", "4", "6", "8", "9", "10", "x")
+EDGE_K = ("-1", "0", "1", "3", "4", "x")
+EDGE_MAX_SIZE = ("-1", "0", "1", "10", "x")
+
+
+@st.composite
+def matrix_texts(draw):
+    """Matrix files: one time in four free text over the format's
+    characters, else a "q n k" header with edge values over rows of the
+    header's length or of any other, with entries mostly 0 and 1."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(alphabet="0123 -x\n", max_size=16))
+    q, n = draw(st.sampled_from(EDGE_Q)), draw(st.integers(-1, 4))
+    entry = st.integers(0, 1) | st.integers(-1, 9)
+    row = (st.lists(entry, min_size=max(n, 0), max_size=max(n, 0))
+           | st.lists(entry, max_size=4))
+    rows = draw(st.lists(row, max_size=4))
+    k = draw(st.sampled_from((len(rows), len(rows), len(rows) + 1, -1)))
+    return "\n".join(" ".join(map(str, r)) for r in [(q, n, k), *rows])
+
+
+@st.composite
+def cli_inputs(draw):
+    """An argv for one command, and for psi, classify and cover the text of
+    its matrix file (None for the others), whose --matrix is added by the
+    test.  Each other option is left out, or given an edge value, at
+    random; a required --n is left out one time in nine."""
+    command = draw(st.sampled_from((
+        "paths", "weight", "involutions", "biane", "psi", "classify", "sbd",
+        "scd", "cover", "identity", "census", "selftest")))
+    argv, matrix = [command], None
+
+    def option(flag, values, required=False):
+        value = draw(st.sampled_from((None, *values)) if required
+                     else st.none() | st.sampled_from(values))
+        if value is not None:
+            argv.extend([flag, value])
+
+    if command == "weight":
+        argv.append(draw(st.text(alphabet="UDHX", max_size=8)))
+    elif command == "biane":
+        cycles = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                          max_size=3).map(lambda d: "".join(
+                              f"[{i},{j}]" for i, j in d) or "[]")
+        argv.append(draw(cycles | st.text(alphabet="[],0127 ", max_size=8)))
+        option("--n", EDGE_N)
+    elif command in ("psi", "classify", "cover"):
+        matrix = draw(matrix_texts())
+        option("--q", EDGE_Q)
+    elif command == "selftest":
+        option("--seed", ("-1", "0", "x"))
+        argv.extend(["--only", draw(st.sampled_from(("c03", "c99", "x")))])
+    else:
+        if command == "identity":
+            argv.append(draw(st.sampled_from(("fs", "ds", "xs"))))
+            option("--k", EDGE_K)
+        if command in ("sbd", "scd", "census"):
+            option("--q", EDGE_Q)
+        option("--n", EDGE_N, required=True)
+        option("--max-size", EDGE_MAX_SIZE)
+        if command == "census" and draw(st.booleans()):
+            argv.append("--csv")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, matrix
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(cli_inputs())
+def test_every_input_exits_0_1_or_2_with_one_line_on_exit_2(
+        tmp_path_factory, case):
+    argv, matrix = case
+    if matrix is not None:
+        path = tmp_path_factory.getbasetemp() / "matrix.txt"
+        path.write_text(matrix)
+        argv = [*argv, "--matrix", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert err.getvalue().endswith("\n"), argv

@@ -3,12 +3,15 @@ from math import comb
 import pytest
 
 import qlattice.identities
-from qlattice import (QPoly, TooLargeError, biane, enumerate_involutions,
+from qlattice import (Involution, Mat, QPoly, Rref, TooLargeError, biane,
+                      boolean_block, classify_columns, enumerate_involutions,
                       enumerate_paths, enumerate_subspaces, fiber_census,
-                      galois, gf, goldman_rota_check, involution_count,
-                      motzkin_number, qbinomial, sbd, scd, subspace_count,
-                      subspaces_with_paths, verify_ds, verify_fs,
-                      weight_sums_by_downs)
+                      full_space, galois, gf, goldman_rota_check,
+                      involution_count, is_valid_rref, motzkin_number,
+                      parse_involution, psi, qbinomial, rref_left, sbd, scd,
+                      scd_cover, span, subspace_count, subspaces_with_paths,
+                      verify_ds, verify_fs, weight_sums_by_downs,
+                      zero_subspace)
 from qlattice.identities import _ds_fibers
 from qlattice.motzkin import step_weight
 
@@ -291,3 +294,31 @@ def test_library_refuses_a_negative_n(entry):
             entry(n)
         assert type(got.value) is ValueError
         assert str(got.value) == f"n must be nonnegative, got {n}"
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("entry", [
+    lambda f, n: zero_subspace(f, n),
+    lambda f, n: full_space(f, n),
+    lambda f, n: span(f, [], n),
+    lambda f, n: rref_left(Mat(f, n, ())),
+    lambda f, n: Involution(n, ()),
+    lambda f, n: parse_involution("[]", n),
+], ids=["zero_subspace", "full_space", "span", "rref_left", "Involution",
+        "parse_involution"])
+def test_constructors_refuse_a_negative_n(entry, q):
+    for n in (-1, -5):
+        with pytest.raises(ValueError) as got:
+            entry(gf(q), n)
+        assert type(got.value) is ValueError
+        assert str(got.value) == f"n must be nonnegative, got {n}"
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("reader", [psi, boolean_block, classify_columns,
+                                    scd_cover])
+def test_a_hand_built_rref_with_negative_n_is_invalid(reader, q):
+    x = Rref(gf(q), -1, (), ())
+    assert not is_valid_rref(x)
+    with pytest.raises(ValueError, match="requires a valid rref"):
+        reader(x)

@@ -1,8 +1,9 @@
 """The sbd and scd commands stream: they print each decomposition from its
 generator one block at a time, with the bytes of printing the whole list
 that sbd() and scd() return, and hold no more than one block in memory.
-A ceiling refusal, --json included, is checked with the other commands' in
-test_cli.py."""
+census, in text, CSV and JSON, goes through the same writer with the bytes
+of printing its whole list of rows.  A ceiling refusal, --json and --csv
+included, is checked with the other commands' in test_cli.py."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ import tracemalloc
 import pytest
 
 from conftest import ALL_FIELDS
-from qlattice import decomp, gf, sbd, scd
+from qlattice import decomp, fiber_census, gf, sbd, scd
 from qlattice.cli import main
 
 #: Largest n per field for the byte comparison; every n from 0 is run.
@@ -23,10 +24,14 @@ def rref_text(x):
     return ";".join(",".join(map(str, r)) for r in x.rows) or "-"
 
 
-def whole_list_output(command, q, n, as_json):
-    """What the CLI printed when it built the whole decomposition first:
-    the list of sbd() or the chains of scd(), printed at once."""
+def whole_list_output(command, q, n, form):
+    """What the CLI printed when it built the whole result first: the list
+    of sbd(), the chains of scd() or the rows of fiber_census(), printed at
+    once."""
     field = gf(q)
+    as_json = form == "json"
+    if command == "census":
+        return census_output(fiber_census(field, n), form)
     if command == "sbd":
         blocks = sbd(field, n)
         if as_json:
@@ -50,17 +55,42 @@ def whole_list_output(command, q, n, as_json):
     return "".join(line + "\n" for line in lines)
 
 
-@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-@pytest.mark.parametrize("command", ["sbd", "scd"])
+def census_output(rows, form):
+    """The census rows in text, CSV or JSON, printed at once."""
+    if form == "json":
+        return json.dumps([{
+            "path": r.path.steps, "downs": r.path.down_count,
+            "predicted_poly": r.predicted.to_list(),
+            "primary_count": r.primary_count,
+            "block_size": r.block_size, "fiber_size": r.fiber_size,
+        } for r in rows]) + "\n"
+    if form == "csv":
+        lines = ["path,downs,predicted_poly,primary_count,block_size,"
+                 "fiber_size"]
+        for r in rows:
+            poly = "[" + ",".join(str(c) for c in r.predicted.to_list()) + "]"
+            lines.append(f"{r.path.steps},{r.path.down_count},{poly},"
+                         f"{r.primary_count},{r.block_size},{r.fiber_size}")
+    else:
+        lines = [f"{r.path.steps or '-':12s} downs={r.path.down_count} "
+                 f"primaries={r.primary_count} block={r.block_size} "
+                 f"fiber={r.fiber_size} predicted={r.predicted}"
+                 for r in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("command, form", [
+    ("sbd", "text"), ("sbd", "json"), ("scd", "text"), ("scd", "json"),
+    ("census", "text"), ("census", "csv"), ("census", "json")])
 @pytest.mark.parametrize("q", ALL_FIELDS)
 def test_streamed_output_equals_the_whole_list_printer(capsys, q, command,
-                                                        as_json):
+                                                        form):
     for n in range(NMAX[q] + 1):
         argv = [command, "--q", str(q), "--n", str(n)]
-        code = main(argv + ["--json"] * as_json)
+        code = main(argv + [f"--{form}"] * (form != "text"))
         out, err = capsys.readouterr()
         assert (code, err) == (0, ""), argv
-        assert out == whole_list_output(command, q, n, as_json), argv
+        assert out == whole_list_output(command, q, n, form), argv
 
 
 class Discard(io.TextIOBase):
