@@ -6,13 +6,17 @@ binomials: the summands are indexed by involutions (weight q^w(d), sign-free
 coefficient (q-1)^|d|) or, after grouping fibers of the involution-to-path
 map, by Motzkin paths (coefficient (q-1)^|P| w(P,q)).  The path sums come
 from a transfer that lists no path.  The involution side is one walk over
-the points that grows every path and every involution over it step by step:
-a 2-cycle's weight, its span minus the open points it jumps over, is added
-when it closes, which counts every crossing once, so each fiber's weights
-and w(P,q) are ready at the path's last step.  Everything here is exact
-polynomial arithmetic; reports are plain JSON-shaped dicts with an "ok"
-flag and the first counterexample, and the census raises on any violated
-invariant.  The census reads every subspace with its path off the full walk
+the points that grows every path and the involutions over it step by step,
+merged by their open points, which fix their futures: a 2-cycle's weight,
+its span minus the open points it jumps over, is added when it closes,
+which counts every crossing once, so each fiber's weight sum and w(P,q) are
+ready at the path's last step.  The walk carries each polynomial as one
+int, its coefficients balanced digits of a width bounded from n and the
+step weights (Kronecker substitution), and decodes only a counterexample
+and the sums by down count.  Everything here is exact arithmetic; reports
+are plain JSON-shaped dicts with an "ok" flag and the first
+counterexample, and the census raises on any violated invariant.  The
+census reads every subspace with its path off the full walk
 :func:`qlattice.psi.subspaces_with_paths`.
 """
 
@@ -24,7 +28,7 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import QPoly
-from .involution import _check_involution_ceiling
+from .involution import _check_involution_ceiling, involution_count
 from .motzkin import (MotzkinPath, enumerate_paths, step_weight,
                       weight_sums_by_downs)
 from .psi import subspaces_with_paths
@@ -110,50 +114,95 @@ def verify_fs(n, k=None):
         return _expansion_report("fs", n, weight_sums_by_downs(n), k)
 
 
-def _ds_fibers(n):
-    """Yield (path word, w(P,q), fiber weight counts) for every path of
-    length n, in the order of :func:`enumerate_paths`; counts[w] is the
-    number of involutions over the path with weight w.
+def _pack(coeffs, bits):
+    """The polynomial with these coefficients (low degree first) at
+    q = 2^bits, one exact int: each coefficient is a digit of width bits."""
+    return sum(c << (bits * i) for i, c in enumerate(coeffs))
+
+
+def _unpack(x, bits):
+    """The coefficient list that :func:`_pack` packed into x, low degree
+    first, with no trailing zero.  Digits are read balanced, from
+    [-2^(bits-1), 2^(bits-1)), so every list inside that range comes back
+    exactly and two such lists pack to the same int only when equal.
+    Needs bits >= 2: with one bit, x = 1 never shrinks."""
+    out = []
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    while x:
+        c = x & mask
+        if c >= half:
+            c -= 1 << bits
+        out.append(c)
+        x = (x - c) >> bits
+    return out
+
+
+def _ds_width(n):
+    """A digit width that holds every coefficient the walk of
+    :func:`_ds_fibers` builds, whatever step_weight returns.  A partial
+    fiber sum counts distinct involutions on [n], so its coefficients are
+    at most I(n); a path weight is a product of at most n step weights,
+    each of absolute coefficient sum at most S over the heights a step can
+    reach (0..n//2), so its coefficients are at most S^n in absolute value.
+    Two spare bits keep that bound inside the balanced digits."""
+    s = max(sum(map(abs, step_weight(step, h).coeffs))
+            for step in "HD" for h in range(n // 2 + 1))
+    return max(involution_count(n), s ** n).bit_length() + 2
+
+
+def _ds_fibers(n, bits):
+    """Yield (path word, down count, w(P,q), fiber weight sum) for every
+    path of length n, in the order of :func:`enumerate_paths`; the two
+    polynomials are packed by :func:`_pack` at the digit width bits (from
+    :func:`_ds_width`), and the fiber sum's coefficient at q^w counts the
+    involutions over the path with weight w.
 
     One depth-first walk over the points j = 1..n, trying D, then H, then U
-    at each.  Down each branch it carries the path weight, multiplied by
-    the step weight at each H or D step and so shared by every path with
-    that prefix, and the partial involutions over the prefix as (open
-    points, running weight): a U opens a 2-cycle at j, an H is a fixed
-    point, and a D closes each open point i in turn.  Closing the t-th of
-    the h open points adds (j - i - 1) - (h - 1 - t), the span of (i, j)
-    minus the open points after i: each of those crosses (i, j) and closes
-    later, so every crossing is counted once, at the earlier of its two
-    closes, and the running weight at the end is spans - crossings.
+    at each.  Down each branch it carries the down count, the path weight,
+    multiplied by the packed step weight at each H or D step and so shared
+    by every path with that prefix, and the partial involutions over the
+    prefix merged by their open points into {open points: weight sum}:
+    partial involutions with the same open points have the same futures.  A
+    U opens a 2-cycle at j, an H is a fixed point, and a D closes each open
+    point i in turn.  Closing the t-th of the h open points adds
+    (j - i - 1) - (h - 1 - t), the span of (i, j) minus the open points
+    after i, a shift by that many digits: each of those points crosses
+    (i, j) and closes later, so every crossing is counted once, at the
+    earlier of its two closes, and the weight at the end is spans -
+    crossings.  At the last point only the empty open set is left.
     """
+    packed = {(step, h): _pack(step_weight(step, h).coeffs, bits)
+              for step in "HD" for h in range(n // 2 + 1)}
     word = []
 
-    def walk(j, h, weight, partials):
+    def walk(j, h, downs, weight, partials):
         if j > n:
-            counts = [0] * (max(w for _, w in partials) + 1)
-            for _, w in partials:
-                counts[w] += 1
-            yield "".join(word), weight, counts
+            yield "".join(word), downs, weight, partials[()]
             return
         left = n - j  # steps after this one
         if h:
             word.append("D")
-            closed = [(o[:t] + o[t + 1:], w + j - i - h + t)
-                      for o, w in partials for t, i in enumerate(o)]
-            yield from walk(j + 1, h - 1,
-                            weight * step_weight("D", h - 1), closed)
+            closed = {}
+            for o, w in partials.items():
+                for t, i in enumerate(o):
+                    rest = o[:t] + o[t + 1:]
+                    closed[rest] = (closed.get(rest, 0)
+                                    + (w << bits * (j - i - h + t)))
+            yield from walk(j + 1, h - 1, downs + 1,
+                            weight * packed["D", h - 1], closed)
             word.pop()
         if h <= left:
             word.append("H")
-            yield from walk(j + 1, h, weight * step_weight("H", h), partials)
+            yield from walk(j + 1, h, downs, weight * packed["H", h],
+                            partials)
             word.pop()
         if h < left:
             word.append("U")
-            yield from walk(j + 1, h + 1, weight,
-                            [(o + (j,), w) for o, w in partials])
+            yield from walk(j + 1, h + 1, downs, weight,
+                            {o + (j,): w for o, w in partials.items()})
             word.pop()
 
-    yield from walk(1, 0, QPoly.one(), [((), 0)])
+    yield from walk(1, 0, 0, 1, {(): 1})
 
 
 def verify_ds(n, max_size=None, k=None):
@@ -163,24 +212,28 @@ def verify_ds(n, max_size=None, k=None):
     weight exactly.
 
     Both sides come from one walk over the points (:func:`_ds_fibers`),
-    which visits every involution once, as a partial involution grown step
-    by step, but builds no :class:`Involution` and no path object.  The
-    involution count is still held to the size ceiling, before the walk.
-    The first path whose fiber sum differs from w(P,q) is the
-    counterexample."""
+    which sums every involution once, merged with the others that share
+    its open points as it grows, but builds no :class:`Involution`, no path
+    object and no :class:`QPoly`: each polynomial is one int of digit width
+    :func:`_ds_width`, so a path check is one int compare.  Only a
+    counterexample and the sums by down count are decoded, as QPoly, which
+    holds them to the 64-bit bound.  The involution count is still held to
+    the size ceiling, before the walk.  The first path whose fiber sum
+    differs from w(P,q) is the counterexample."""
     _check_involution_ceiling(n, max_size)
+    bits = _ds_width(n)
     with _within_64_bits("ds", n):
-        by_downs = [QPoly.zero()] * (n // 2 + 1)
-        for steps, want, counts in _ds_fibers(n):
-            got = QPoly(counts)
+        by_downs = [0] * (n // 2 + 1)
+        for steps, downs, want, got in _ds_fibers(n, bits):
             if got != want:
+                got, want = (QPoly(_unpack(x, bits)) for x in (got, want))
                 return {"identity": "ds", "n": n, "ok": False,
                         "counterexample": {"path": steps,
                                            "fiber_weight_sum": got.to_list(),
                                            "path_weight": want.to_list()}}
-            d = steps.count("D")
-            by_downs[d] = by_downs[d] + got
-        return _expansion_report("ds", n, by_downs, k)
+            by_downs[downs] += got
+        return _expansion_report(
+            "ds", n, [QPoly(_unpack(s, bits)) for s in by_downs], k)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qlattice.identities
 from qlattice import (Involution, Mat, QPoly, Rref, TooLargeError, biane,
@@ -12,7 +14,7 @@ from qlattice import (Involution, Mat, QPoly, Rref, TooLargeError, biane,
                       scd_cover, span, subspace_count, subspaces_with_paths,
                       verify_ds, verify_fs, weight_sums_by_downs,
                       zero_subspace)
-from qlattice.identities import _ds_fibers
+from qlattice.identities import _ds_fibers, _ds_width, _pack, _unpack
 from qlattice.motzkin import step_weight
 
 
@@ -170,33 +172,65 @@ def test_verify_ds_matches_the_involution_by_involution_sum():
 
 def test_the_ds_walk_builds_each_fiber_and_path_weight():
     for n in range(10):
-        walk = list(_ds_fibers(n))
+        bits = _ds_width(n)
+        walk = list(_ds_fibers(n, bits))
         paths = list(enumerate_paths(n))
-        assert [steps for steps, _, _ in walk] == [p.steps for p in paths]
+        assert [steps for steps, _, _, _ in walk] == [p.steps for p in paths]
         fiber_counts = fiber_counts_by_involutions(n)
-        for (steps, weight, counts), p in zip(walk, paths):
-            assert weight == p.weight()
-            assert counts == fiber_counts[steps]
+        for (steps, downs, weight, fiber), p in zip(walk, paths):
+            assert downs == p.down_count
+            assert QPoly(_unpack(weight, bits)) == p.weight()
+            assert _unpack(fiber, bits) == fiber_counts[steps]
 
 
-def one_too_large_at(bad):
-    """A step_weight stand-in that is one too large at (step, height) bad."""
+def test_the_ds_walk_regroups_to_the_fs_transfer():
+    """Past the involution-by-involution reference (n < 10): the walk's
+    fiber sums, regrouped by down count, equal the path weights summed by
+    the transfer of weight_sums_by_downs, which lists no involution."""
+    for n in (10, 11, 12):
+        bits = _ds_width(n)
+        by_downs = [0] * (n // 2 + 1)
+        for _, downs, _, fiber in _ds_fibers(n, bits):
+            by_downs[downs] += fiber
+        assert [QPoly(_unpack(s, bits)) for s in by_downs] == \
+            weight_sums_by_downs(n)
+        assert verify_ds(n)["ok"]
+
+
+@given(st.integers(2, 80).flatmap(lambda bits: st.tuples(
+    st.just(bits),
+    st.lists(st.integers(-2**(bits - 1), 2**(bits - 1) - 1), max_size=12))))
+def test_pack_round_trips_signed_coefficients(case):
+    bits, coeffs = case
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    assert _unpack(_pack(coeffs, bits), bits) == coeffs
+
+
+def with_extra_at(bad, extra):
+    """A step_weight stand-in that adds extra at (step, height) bad."""
     def wrong(step, h):
-        return step_weight(step, h) + (1 if (step, h) == bad else 0)
+        return step_weight(step, h) + (extra if (step, h) == bad else 0)
 
     return wrong
+
+
+def weight_under(weight_of, p):
+    """w(P,q) multiplied out in QPoly with the step weights weight_of."""
+    want = QPoly.one()
+    for step, h in zip(p.steps, p.heights[1:]):
+        if step != "U":
+            want = want * weight_of(step, h)
+    return want
 
 
 def test_a_fiber_mismatch_names_the_first_path(monkeypatch):
     bad = ("H", 1)
     monkeypatch.setattr(qlattice.identities, "step_weight",
-                        one_too_large_at(bad))
+                        with_extra_at(bad, 1))
     first = next(p for p in enumerate_paths(5)
                  if bad in zip(p.steps, p.heights[1:]))
-    want = QPoly.one()
-    for step, h in zip(first.steps, first.heights[1:]):
-        if step != "U":
-            want = want * one_too_large_at(bad)(step, h)
+    want = weight_under(with_extra_at(bad, 1), first)
     assert first.steps == "HHUHD"
     assert verify_ds(5) == {
         "identity": "ds", "n": 5, "ok": False,
@@ -205,6 +239,32 @@ def test_a_fiber_mismatch_names_the_first_path(monkeypatch):
                            "path_weight": want.to_list()}}
     assert want != first.weight()
     assert verify_ds(2)["ok"]  # no path of length 2 has an H at height 1
+
+
+@pytest.mark.parametrize("bad, extra", [
+    (("H", 1), QPoly((2**40,))),
+    (("D", 0), QPoly((-3,))),
+    (("D", 1), QPoly((0, 0, -5, 2**50))),
+])
+def test_the_packing_holds_under_hostile_step_weights(monkeypatch, bad,
+                                                      extra):
+    """Large, negative and mixed-sign step weights give the counterexample
+    that QPoly arithmetic gives, path by path against the fibers built
+    involution by involution."""
+    hostile = with_extra_at(bad, extra)
+    monkeypatch.setattr(qlattice.identities, "step_weight", hostile)
+    fiber_counts = fiber_counts_by_involutions(6)
+    for p in enumerate_paths(6):
+        want = weight_under(hostile, p)
+        got = QPoly(fiber_counts[p.steps])
+        if got != want:
+            break
+    assert got != want
+    assert verify_ds(6) == {
+        "identity": "ds", "n": 6, "ok": False,
+        "counterexample": {"path": p.steps,
+                           "fiber_weight_sum": got.to_list(),
+                           "path_weight": want.to_list()}}
 
 
 def test_verify_fs_names_the_64_bit_bound():
