@@ -28,11 +28,13 @@ _INT64_MIN = -(2**63)
 
 
 def _factor_prime_power(q):
-    """Return (p, e) with q = p^e, or raise NotPrimePowerError."""
+    """Return (p, e) with q = p^e <= _MAX_Q; NotPrimePowerError when q is
+    not a prime power, else UnsupportedFieldError when q exceeds _MAX_Q.
+    Only the divisors up to _MAX_Q are tried, so a q with no prime factor
+    that small is refused as too large without trial division to sqrt(q)."""
     if q < 2:
         raise NotPrimePowerError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
+    for p in range(2, _MAX_Q + 1):  # the first divisor found is prime
         if q % p == 0:
             e = 0
             m = q
@@ -41,9 +43,11 @@ def _factor_prime_power(q):
                 e += 1
             if m != 1:
                 raise NotPrimePowerError(f"{q} is not a prime power")
-            return p, e
-        p += 1
-    return q, 1
+            break
+    if q > _MAX_Q:  # every q in [2, _MAX_Q] has a divisor in that range
+        raise UnsupportedFieldError(
+            f"q={q} exceeds the supported bound {_MAX_Q}")
+    return p, e
 
 
 def _poly_trim(c):
@@ -86,9 +90,6 @@ class GF:
 
     def __init__(self, q):
         p, e = _factor_prime_power(q)
-        if q > _MAX_Q:
-            raise UnsupportedFieldError(
-                f"q={q} exceeds the supported bound {_MAX_Q}")
         self.q = q
         self.p = p
         self.e = e

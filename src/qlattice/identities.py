@@ -5,8 +5,8 @@ Both expansions write the q-binomial coefficient as a sum of ordinary
 binomials: the summands are indexed by involutions (weight q^w(d), sign-free
 coefficient (q-1)^|d|) or, after grouping fibers of the involution-to-path
 map, by Motzkin paths (coefficient (q-1)^|P| w(P,q)).  The path sums come
-from a transfer that lists no path.  The involution side is one walk over
-the points that grows every path and the involutions over it step by step,
+from a transfer that lists no path.  The involution side is a state on
+motzkin's one path walk that grows every path and the involutions over it,
 merged by their open points, which fix their futures: a 2-cycle's weight,
 its span minus the open points it jumps over, is added when it closes,
 which counts every crossing once, so each fiber's weight sum and w(P,q) are
@@ -29,22 +29,28 @@ from math import comb
 
 from .algebra import QPoly
 from .involution import _check_involution_ceiling, involution_count
-from .motzkin import (MotzkinPath, enumerate_paths, step_weight,
+from .motzkin import (MotzkinPath, _paths, enumerate_paths, step_weight,
                       weight_sums_by_downs)
 from .psi import subspaces_with_paths
 
 _QM1 = QPoly((-1, 1))  # q - 1
 
 
-@lru_cache(maxsize=None)
 def qbinomial(n, k):
     """Gaussian binomial coefficient as an exact polynomial; zero outside
     0 <= k <= n."""
+    return _qbinomial(n, k)
+
+
+@lru_cache(maxsize=None)
+def _qbinomial(n, k):
+    """:func:`qbinomial` by q-Pascal, recursing and cached under its own
+    name, so that no stand-in bound to qbinomial enters a cached value."""
     if k < 0 or k > n:
         return QPoly.zero()
     if k == 0 or k == n:
         return QPoly.one()
-    return qbinomial(n - 1, k - 1) + QPoly.monomial(k) * qbinomial(n - 1, k)
+    return _qbinomial(n - 1, k - 1) + QPoly.monomial(k) * _qbinomial(n - 1, k)
 
 
 @lru_cache(maxsize=None)
@@ -52,7 +58,7 @@ def galois(n):
     """Total count of subspaces of an n-space, as a polynomial in q."""
     out = QPoly.zero()
     for k in range(n + 1):
-        out = out + qbinomial(n, k)
+        out = out + _qbinomial(n, k)
     return out
 
 
@@ -152,13 +158,12 @@ def _ds_width(n):
 
 def _ds_fibers(n, bits):
     """Yield (path word, down count, w(P,q), fiber weight sum) for every
-    path of length n, in the order of :func:`enumerate_paths`; the two
-    polynomials are packed by :func:`_pack` at the digit width bits (from
-    :func:`_ds_width`), and the fiber sum's coefficient at q^w counts the
-    involutions over the path with weight w.
+    path of length n, on the walk and so in the order of
+    :func:`enumerate_paths`; the two polynomials are packed by :func:`_pack`
+    at the digit width bits (from :func:`_ds_width`), and the fiber sum's
+    coefficient at q^w counts the involutions over the path with weight w.
 
-    One depth-first walk over the points j = 1..n, trying D, then H, then U
-    at each.  Down each branch it carries the down count, the path weight,
+    Down each branch the walk carries the down count, the path weight,
     multiplied by the packed step weight at each H or D step and so shared
     by every path with that prefix, and the partial involutions over the
     prefix merged by their open points into {open points: weight sum}:
@@ -173,36 +178,23 @@ def _ds_fibers(n, bits):
     """
     packed = {(step, h): _pack(step_weight(step, h).coeffs, bits)
               for step in "HD" for h in range(n // 2 + 1)}
-    word = []
 
-    def walk(j, h, downs, weight, partials):
-        if j > n:
-            yield "".join(word), downs, weight, partials[()]
-            return
-        left = n - j  # steps after this one
-        if h:
-            word.append("D")
-            closed = {}
-            for o, w in partials.items():
-                for t, i in enumerate(o):
-                    rest = o[:t] + o[t + 1:]
-                    closed[rest] = (closed.get(rest, 0)
-                                    + (w << bits * (j - i - h + t)))
-            yield from walk(j + 1, h - 1, downs + 1,
-                            weight * packed["D", h - 1], closed)
-            word.pop()
-        if h <= left:
-            word.append("H")
-            yield from walk(j + 1, h, downs, weight * packed["H", h],
-                            partials)
-            word.pop()
-        if h < left:
-            word.append("U")
-            yield from walk(j + 1, h + 1, downs, weight,
-                            {o + (j,): w for o, w in partials.items()})
-            word.pop()
+    def step(state, j, ch, h):
+        downs, weight, partials = state
+        if ch == "U":
+            return downs, weight, {o + (j,): w for o, w in partials.items()}
+        if ch == "H":
+            return downs, weight * packed["H", h], partials
+        closed = {}
+        for o, w in partials.items():
+            for t, i in enumerate(o):
+                rest = o[:t] + o[t + 1:]
+                closed[rest] = (closed.get(rest, 0)
+                                + (w << bits * (j - i - h + t)))
+        return downs + 1, weight * packed["D", h - 1], closed
 
-    yield from walk(1, 0, 0, 1, {(): 1})
+    for word, (downs, weight, partials) in _paths(n, (0, 1, {(): 1}), step):
+        yield word, downs, weight, partials[()]
 
 
 def verify_ds(n, max_size=None, k=None):

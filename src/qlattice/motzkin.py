@@ -4,9 +4,11 @@ A path is a word over {U, D, H} whose running height never dips below the
 axis and ends at 0.  The weight multiplies q^j for a horizontal step at
 height j and q^j + ... + q^(2j) for a down step landing at height j; up
 steps weigh 1.  At q = 1 a down step therefore weighs its starting height.
+:func:`_steps` is the one rule for a path's next steps and :func:`_paths`
+the one walk, which :func:`enumerate_paths` and the ds fiber walk share.
 The weights summed over all paths with a given number of down steps come
-from a transfer over (height, downs) that lists no path, so only
-:func:`enumerate_paths` is bounded by the enumeration ceiling.
+from a transfer over (height, downs) along that rule that lists no path, so
+only :func:`enumerate_paths` is bounded by the enumeration ceiling.
 """
 
 from __future__ import annotations
@@ -89,32 +91,40 @@ class MotzkinPath:
         return w
 
 
+def _steps(h, left):
+    """The steps from height h, D < H < U, each as (step, height after),
+    whose height after is in [0, left], left the steps after this one: a
+    higher path cannot return to the axis."""
+    return [(step, h2) for step, h2 in (("D", h - 1), ("H", h), ("U", h + 1))
+            if 0 <= h2 <= left]
+
+
+def _paths(n, state, step):
+    """Yield (word, state) for every path of length n in D < H < U order:
+    the empty word has the given state, and a word's j-th step ch, from
+    height h, maps its prefix's state s to step(s, j, ch, h).  One
+    depth-first walk on an explicit stack; its moves come from
+    :func:`_steps` once per call, reversed so that D is popped first."""
+    moves = [[_steps(h, n - j - 1)[::-1] for h in range(n + 1)]
+             for j in range(n)]
+    stack = [("", 0, state)]
+    while stack:
+        word, h, state = stack.pop()
+        j = len(word)
+        if j == n:
+            yield word, state
+            continue
+        for ch, h2 in moves[j][h]:
+            stack.append((word + ch, h2, step(state, j + 1, ch, h)))
+
+
 def enumerate_paths(n, max_size=None):
-    """Yield every path of length n once, lexicographic with D < H < U;
-    TooLargeError when they outnumber max_size (default DEFAULT_MAX_SIZE)."""
+    """Yield every path of length n once, in the D < H < U order of
+    :func:`_paths`; TooLargeError past max_size (default DEFAULT_MAX_SIZE)."""
     _check_ceiling(_motzkin_numbers(n), max_size,
                    lambda total: f"{total} paths of length {n}")
-    buf = []
-
-    def rec(i, h):
-        if i == n:
-            if h == 0:
-                yield MotzkinPath("".join(buf))
-            return
-        if h > n - i:
-            return
-        if h > 0:
-            buf.append("D")
-            yield from rec(i + 1, h - 1)
-            buf.pop()
-        buf.append("H")
-        yield from rec(i + 1, h)
-        buf.pop()
-        buf.append("U")
-        yield from rec(i + 1, h + 1)
-        buf.pop()
-
-    yield from rec(0, 0)
+    for word, _ in _paths(n, None, lambda state, j, ch, h: None):
+        yield MotzkinPath(word)
 
 
 def weight_sums_by_downs(n):
@@ -122,20 +132,19 @@ def weight_sums_by_downs(n):
     d = 0..n//2], without enumerating a path.
 
     One left-to-right transfer over the states (height, downs) carries the
-    summed weight of all prefixes that reach each state; a height above the
-    number of steps left can no longer return to the axis and is dropped.
+    summed weight of all prefixes that reach each state, to the successors
+    that :func:`_steps` allows.
     """
     _check_length(n)
     sums = {(0, 0): QPoly.one()}
     for left in range(n - 1, -1, -1):  # steps left after this one
         nxt = {}
         for (h, d), w in sums.items():
-            for step, h2, d2 in (("D", h - 1, d + 1), ("H", h, d),
-                                 ("U", h + 1, d)):
-                if 0 <= h2 <= left:
-                    term = w if step == "U" else w * step_weight(step, h2)
-                    prev = nxt.get((h2, d2))
-                    nxt[h2, d2] = term if prev is None else prev + term
+            for step, h2 in _steps(h, left):
+                d2 = d + (step == "D")
+                term = w if step == "U" else w * step_weight(step, h2)
+                prev = nxt.get((h2, d2))
+                nxt[h2, d2] = term if prev is None else prev + term
         sums = nxt
     out = [QPoly.zero()] * (n // 2 + 1)
     for (_, d), w in sums.items():  # only height 0 is left

@@ -49,6 +49,16 @@ def test_field_make_rejects_above_bound():
         GF(25)
 
 
+def test_a_large_q_is_refused_without_factoring_it():
+    """2^61 - 1 is prime: no trial division up to its square root runs,
+    and it is refused as past the bound, as is a q with no prime factor up
+    to 9."""
+    for q in (2**61 - 1, 143):
+        with pytest.raises(UnsupportedFieldError,
+                           match=f"q={q} exceeds the supported bound 9"):
+            gf(q)
+
+
 def test_field_arith_examples():
     assert gf(2).add(1, 1) == 0
     assert gf(4).mul(2, 2) == 3      # x * x = x + 1 mod x^2+x+1

@@ -475,9 +475,10 @@ def test_selftest_unknown_key(capsys):
 
 
 #: Edge values of the numeric options; "x" and "" are not integers, and 10
-#: is past the largest supported q.
+#: and the prime 2^61 - 1 are past the largest supported q.
 EDGE_N = ("-2", "-1", "0", "1", "2", "3", "x", "")
-EDGE_Q = ("-1", "0", "1", "2", "3", "4", "6", "8", "9", "10", "x")
+EDGE_Q = ("-1", "0", "1", "2", "3", "4", "6", "8", "9", "10",
+          "2305843009213693951", "x")
 EDGE_K = ("-1", "0", "1", "3", "4", "x")
 EDGE_MAX_SIZE = ("-1", "0", "1", "10", "x")
 

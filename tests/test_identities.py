@@ -116,6 +116,8 @@ def test_qbinomial_against_product_formula():
             assert p == qbinomial(n, n - k)
             for q in (2, 3, 5):
                 assert p(q) == qbinomial_value_oracle(n, k, q)
+    # the middle of row 200 is past the 64-bit bound; its edge is not
+    assert qbinomial(200, 2)(1) == comb(200, 2)
 
 
 def test_galois_frozen_expansions():
@@ -160,6 +162,20 @@ def test_mismatch_is_reported_as_data(monkeypatch, verify):
                            "rhs": qbinomial(5, 2).to_list()}}
     assert verify(5, k=1)["ok"]
     assert not verify(5, k=2)["ok"]
+
+
+def test_a_qbinomial_stand_in_leaves_no_cached_value(monkeypatch):
+    """Values first computed while a stand-in is bound to
+    identities.qbinomial are right once it is gone."""
+    qlattice.identities._qbinomial.cache_clear()
+    monkeypatch.setattr(qlattice.identities, "qbinomial", off_by_one_at(2))
+    assert not verify_fs(6)["ok"]
+    assert not verify_ds(6)["ok"]
+    monkeypatch.undo()
+    for n in range(9):
+        for k in range(n + 1):
+            for q in (2, 3, 5):
+                assert qbinomial(n, k)(q) == qbinomial_value_oracle(n, k, q)
 
 
 def test_verify_ds_matches_the_involution_by_involution_sum():

@@ -1,3 +1,4 @@
+from itertools import product
 from math import factorial
 
 import pytest
@@ -45,7 +46,17 @@ def test_parse_errors():
 
 
 def test_enumeration_n3_exact_order():
+    """n = 3 by hand, and every n <= 8 against brute force: the words of
+    {D,H,U}^n that MotzkinPath accepts, sorted with D < H < U."""
     assert [p.steps for p in enumerate_paths(3)] == ["HHH", "HUD", "UDH", "UHD"]
+    for n in range(9):
+        accepted = []
+        for word in map("".join, product("DHU", repeat=n)):
+            try:
+                accepted.append(MotzkinPath(word).steps)
+            except ValueError:
+                pass
+        assert [p.steps for p in enumerate_paths(n)] == sorted(accepted)
 
 
 def test_enumeration_counts():
