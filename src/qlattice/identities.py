@@ -34,11 +34,23 @@ from .motzkin import (MotzkinPath, _paths, enumerate_paths, step_weight,
 from .psi import subspaces_with_paths
 
 _QM1 = QPoly((-1, 1))  # q - 1
+_PASCAL_ROWS = 128  # the deepest a cold q-Pascal recursion goes
 
 
 def qbinomial(n, k):
     """Gaussian binomial coefficient as an exact polynomial; zero outside
     0 <= k <= n."""
+    return _q_pascal(n, k)
+
+
+def _q_pascal(n, k):
+    """_qbinomial(n, k) after caching, bottom up, every _PASCAL_ROWS-th row
+    below n on the columns that the recursion from (n, k) reaches, so that
+    no call recurses more than _PASCAL_ROWS rows deep and the nodes stay
+    shared in the cache."""
+    for m in range(_PASCAL_ROWS, n, _PASCAL_ROWS):
+        for j in range(max(0, k - (n - m)), min(k, m) + 1):
+            _qbinomial(m, j)
     return _qbinomial(n, k)
 
 
@@ -58,7 +70,7 @@ def galois(n):
     """Total count of subspaces of an n-space, as a polynomial in q."""
     out = QPoly.zero()
     for k in range(n + 1):
-        out = out + _qbinomial(n, k)
+        out = out + _q_pascal(n, k)
     return out
 
 

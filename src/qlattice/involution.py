@@ -104,22 +104,23 @@ def _check_involution_ceiling(n, max_size):
 
 
 def enumerate_involutions(n, max_size=None):
-    """Yield every involution on [n] exactly once."""
+    """Yield every involution on [n] exactly once, depth first on one stack
+    of (points left, 2-cycles) entries: the least point left is fixed first,
+    then paired with each later point in increasing order.  So the order is
+    lexicographic in the partners of 1, 2, ..., n, skipping each point
+    already paired with a smaller one and reading a fixed point as 0."""
     _check_involution_ceiling(n, max_size)
-
-    def rec(points):
+    stack = [(tuple(range(1, n + 1)), ())]
+    while stack:
+        points, cycles = stack.pop()
         if not points:
-            yield ()
-            return
+            yield Involution(n, cycles)
+            continue
         a, rest = points[0], points[1:]
-        yield from rec(rest)
-        for idx, b in enumerate(rest):
-            rem = rest[:idx] + rest[idx + 1:]
-            for tail in rec(rem):
-                yield ((a, b),) + tail
-
-    for cycles in rec(tuple(range(1, n + 1))):
-        yield Involution(n, cycles)
+        for idx in reversed(range(len(rest))):
+            stack.append((rest[:idx] + rest[idx + 1:],
+                          cycles + ((a, rest[idx]),)))
+        stack.append((rest, cycles))
 
 
 def biane(d):

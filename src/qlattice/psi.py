@@ -8,14 +8,15 @@ the sections of the matrix; both routes are implemented so they can be
 checked against each other.
 
 The pivot-set route is one pass: the row step :func:`_row_step` finds each
-row's right pivot and :func:`_pivot_path` spells the word.  The walk
+row's right pivot from the rows carried so far, which it is given and does
+not change, and :func:`_pivot_path` spells the word.  The walk
 :func:`subspaces_with_paths` behind ``sbd``, ``scd`` and ``census`` takes
-one step per node of each pivot cell of the enumeration, and :func:`psi`
-is that walk over the one-subspace cell of its argument.  The rest is read
-off the path and the left pivots: the right pivots, the inessential columns
-(the H steps) and pivots (the H steps at left pivots), and whether the
-subspace is primary, that is whether its dimension equals the down count
-(|L| = #U + |L & R| and #U = #D).
+one row step per node of each pivot cell of the enumeration, on one
+explicit stack, and :func:`psi` is that walk over the one-subspace cell of
+its argument.  The rest is read off the path and the left pivots: the right
+pivots, the inessential columns (the H steps) and pivots (the H steps at
+left pivots), and whether the subspace is primary, that is whether its
+dimension equals the down count (|L| = #U + |L & R| and #U = #D).
 
 The section route classifies one column by one forward elimination,
 :func:`column_elimination`: the guard and the coordinates of column
@@ -107,26 +108,27 @@ def classify_columns(x):
                  for j, step in enumerate(psi(x).steps, start=1))
 
 
-def _row_step(field, carried):
-    """The row step against ``carried`` (0-based right pivot -> carried row
-    and the inverse of its entry there): a function mapping a row to its
-    (0-based right pivot, row reduced up to it).  It scans from the right,
-    subtracting each carried row it meets (whole, as it is zero past its
-    right pivot), until no carried row ends there."""
-    mul, sub_scaled, n = field.mul, field.sub_scaled, len(carried)
+def _row_step(field):
+    """The row step over F_q: a function mapping (carried, row) to the row's
+    (0-based right pivot, row reduced up to it), where ``carried`` maps each
+    0-based right pivot to the carried row that ends there, or to None.  It
+    scans from the right, subtracting the multiple of each carried row it
+    meets that clears that entry (the whole row, as it is zero past its
+    right pivot), until no carried row ends there.  Neither argument is
+    changed."""
+    div, sub_scaled = field.div, field.sub_scaled
 
-    def right_pivot(row):
-        r, t = row, n - 1
+    def right_pivot(carried, row):
+        r, t = row, len(row) - 1
         while True:
             while not r[t]:
                 t -= 1
-            hit = carried[t]
-            if hit is None:
+            prow = carried[t]
+            if prow is None:
                 return t, r
-            prow, pinv = hit
             if r is row:
                 r = list(row)
-            sub_scaled(r, r[t] if pinv == 1 else mul(r[t], pinv), prow)
+            sub_scaled(r, r[t] if prow[t] == 1 else div(r[t], prow[t]), prow)
 
     return right_pivot
 
@@ -161,11 +163,11 @@ def psi(x):
         return path
     _check_rref(x, "psi")
     carried = [None] * x.n
-    right_pivot = _row_step(x.field, carried)
+    right_pivot = _row_step(x.field)
     right = 0
     for row in x.rows:
-        t, r = right_pivot(row)
-        carried[t] = (r, x.field.inv(r[t]))
+        t, r = right_pivot(carried, row)
+        carried[t] = r
         right |= 1 << t
     left = sum(1 << (p - 1) for p in x.pivots)
     path = x.__dict__["_path"] = _pivot_path(left, right, x.n, {})
@@ -184,57 +186,40 @@ def subspaces_with_paths(field, n, max_size=None, primary_only=False):
     """Yield (x, psi(x)) for every subspace x of F_q^n, in the order of
     :func:`qlattice.matspace.enumerate_subspaces` and under its ceiling.
 
-    Each pivot cell's rows are walked depth first, and the reductions of
-    rows 1..i-1 are carried down to every choice of row i.  With
-    ``primary_only`` only the primaries come out, the subspaces with L & R
-    empty: a row whose right pivot is a left pivot is skipped with its
-    whole subtree, and the walk stops above dimension n/2.
+    Each pivot cell is walked depth first on one stack of (rows, right pivot
+    bitmask, carried) entries, ``carried`` as in :func:`_row_step`.  An
+    entry with a row per pivot is a subspace; any other pushes a child per
+    choice of its next row, last choice first, each with a copy of
+    ``carried`` that also holds its new row.  With ``primary_only`` only the
+    primaries come out, the subspaces with L & R empty: a row whose right
+    pivot is a left pivot is skipped with its whole subtree, and the walk
+    stops above dimension n/2.
     """
+    right_pivot = _row_step(field)
     paths = {}  # word -> MotzkinPath
     for pivots, choices in _pivot_cells(field, n, max_size,
                                         n // 2 if primary_only else n):
         k = len(pivots)
         left = sum(1 << (p - 1) for p in pivots)
-        carried = [None] * n
-        right_pivot = _row_step(field, carried)
         by_right = {}  # right pivot bitmask -> path, within this cell
-
-        def path_of(right):
-            path = by_right.get(right)
-            if path is None:
-                path = by_right[right] = _pivot_path(left, right, n, paths)
-            return path
-
-        def prefixes(i, right):
-            """Set rows i..k-2 of ``head`` to each choice in turn and carry
-            their reductions; yield the right pivot bitmask of rows 0..k-2
-            once per prefix."""
-            if i == k - 1:
-                yield right
-                return
-            for row in choices[i]:
-                t, r = right_pivot(row)
+        stack = [((), 0, [None] * n)]
+        while stack:
+            rows, right, carried = stack.pop()
+            i = len(rows)
+            if i == k:
+                path = by_right.get(right)
+                if path is None:
+                    path = by_right[right] = _pivot_path(left, right, n,
+                                                         paths)
+                yield Rref(field, n, rows, pivots), path
+                continue
+            for row in reversed(choices[i]):
+                t, r = right_pivot(carried, row)
                 if primary_only and left >> t & 1:
                     continue
-                head[i] = row
-                carried[t] = (r, field.inv(r[t]))
-                yield from prefixes(i + 1, right | 1 << t)
-                carried[t] = None
-
-        if k == 0:
-            yield Rref(field, n, (), ()), path_of(0)
-            continue
-        # the last row is walked here, so no item passes through the nested
-        # generators
-        head = [None] * (k - 1)
-        for right in prefixes(0, 0):
-            rows = tuple(head)
-            for row in choices[k - 1]:
-                t, _ = right_pivot(row)
-                if primary_only and left >> t & 1:
-                    continue
-                yield (Rref(field, n, rows + (row,), pivots),
-                       path_of(right | 1 << t))
+                below = carried.copy()
+                below[t] = r
+                stack.append((rows + (row,), right | 1 << t, below))
 
 
 def path_from_classification(x):

@@ -120,6 +120,11 @@ def test_qbinomial_against_product_formula():
     assert qbinomial(200, 2)(1) == comb(200, 2)
 
 
+def test_qbinomial_far_past_the_recursion_limit():
+    assert qbinomial(1500, 1)(1) == 1500
+    assert qbinomial(1500, 2)(1) == comb(1500, 2)
+
+
 def test_galois_frozen_expansions():
     assert galois(2) == QPoly((3, 1))          # 2^2 + (q-1)
     assert galois(3) == QPoly((4, 2, 2))       # 2^3 + (q-1 + q^2-1)*2

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,26 @@ def test_enumeration_n3_exact_set():
     got = {str(d) for d in enumerate_involutions(3)}
     assert got == {"[]", "[1,2]", "[1,3]", "[2,3]"}
     assert [str(d) for d in enumerate_involutions(0)] == ["[]"]
+
+
+def involutions_in_order_oracle(n):
+    """Every involution on [n] by brute force over all permutations, sorted
+    by the partner of each point not paired with a smaller one, in
+    increasing order of the point, a fixed point read as 0."""
+    found = []
+    for perm in permutations(range(1, n + 1)):
+        partner = dict(zip(range(1, n + 1), perm))
+        if all(partner[partner[i]] == i for i in partner):
+            key = tuple(0 if partner[i] == i else partner[i]
+                        for i in partner if partner[i] >= i)
+            found.append((key, Involution(n, ((i, j) for i, j in
+                                              partner.items() if i < j))))
+    return [d for _, d in sorted(found, key=lambda pair: pair[0])]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enumeration_order_against_brute_force(n):
+    assert list(enumerate_involutions(n)) == involutions_in_order_oracle(n)
 
 
 def test_enumeration_guard():
