@@ -59,7 +59,7 @@ def _emit(args, payload, text):
 def _cmd_paths(args):
     paths = [p.steps for p in enumerate_paths(args.n, _max_size(args))]
     _emit(args, {"n": args.n, "count": len(paths), "paths": paths},
-          "\n".join(paths) if paths else "")
+          "\n".join(paths))
     return 0
 
 

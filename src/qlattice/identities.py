@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .algebra import QPoly
@@ -34,55 +33,39 @@ from .motzkin import (MotzkinPath, _paths, enumerate_paths, step_weight,
 from .psi import subspaces_with_paths
 
 _QM1 = QPoly((-1, 1))  # q - 1
-_PASCAL_ROWS = 128  # the deepest a cold q-Pascal recursion goes
+_GAUSSIAN = {}  # (m, j) -> [m j]_q, every node qbinomial has filled
 
 
 def qbinomial(n, k):
-    """Gaussian binomial coefficient as an exact polynomial; zero outside
-    0 <= k <= n."""
-    return _q_pascal(n, k)
-
-
-def _q_pascal(n, k):
-    """_qbinomial(n, k) after caching, bottom up, every _PASCAL_ROWS-th row
-    below n on the columns that the recursion from (n, k) reaches, so that
-    no call recurses more than _PASCAL_ROWS rows deep and the nodes stay
-    shared in the cache."""
-    for m in range(_PASCAL_ROWS, n, _PASCAL_ROWS):
-        for j in range(max(0, k - (n - m)), min(k, m) + 1):
-            _qbinomial(m, j)
-    return _qbinomial(n, k)
-
-
-@lru_cache(maxsize=None)
-def _qbinomial(n, k):
-    """:func:`qbinomial` by q-Pascal, recursing and cached under its own
-    name, so that no stand-in bound to qbinomial enters a cached value."""
+    """Gaussian binomial coefficient [n k]_q as an exact polynomial; zero
+    outside 0 <= k <= n.  One bottom-up q-Pascal table,
+    [m j] = [m-1 j-1] + q^j [m-1 j], filled over the nodes j <= k and
+    m - j <= n - k and shared between calls.  [m j]_q counts the partitions
+    in a j x (m-j) box, so each of those nodes is coefficientwise at most
+    [n k] and none overflows unless [n k] does."""
     if k < 0 or k > n:
         return QPoly.zero()
-    if k == 0 or k == n:
-        return QPoly.one()
-    return _qbinomial(n - 1, k - 1) + QPoly.monomial(k) * _qbinomial(n - 1, k)
+    if (n, k) not in _GAUSSIAN:
+        for m in range(n + 1):
+            for j in range(max(0, k - (n - m)), min(k, m) + 1):
+                if (m, j) not in _GAUSSIAN:
+                    _GAUSSIAN[m, j] = QPoly.one() if j in (0, m) else (
+                        _GAUSSIAN[m - 1, j - 1]
+                        + QPoly((0,) * j + _GAUSSIAN[m - 1, j].coeffs))
+    return _GAUSSIAN[n, k]
 
 
-@lru_cache(maxsize=None)
 def galois(n):
     """Total count of subspaces of an n-space, as a polynomial in q."""
-    out = QPoly.zero()
-    for k in range(n + 1):
-        out = out + _q_pascal(n, k)
-    return out
+    return sum((qbinomial(n, k) for k in range(n + 1)), QPoly.zero())
 
 
 def goldman_rota_check(nmax):
     """Symbolic two-term recurrence check G(m+1) = 2 G(m) + (q^m - 1) G(m-1)
     for every 1 <= m <= nmax."""
-    for m in range(1, nmax + 1):
-        lhs = galois(m + 1)
-        rhs = 2 * galois(m) + (QPoly.monomial(m) - 1) * galois(m - 1)
-        if lhs != rhs:
-            return False
-    return True
+    g = [galois(m) for m in range(nmax + 2)]
+    return all(g[m + 1] == 2 * g[m] + (QPoly.monomial(m) - 1) * g[m - 1]
+               for m in range(1, nmax + 1))
 
 
 def _binom_or_zero(n, k):

@@ -45,7 +45,7 @@ class MotzkinPath:
             heights.append(h)
         if h != 0:
             raise ValueError(f"path ends at height {h}, not on the axis")
-        self.steps = str(steps)
+        self.steps = steps if isinstance(steps, str) else "".join(steps)
         self.heights = tuple(heights)
 
     def __len__(self):

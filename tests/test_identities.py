@@ -123,6 +123,11 @@ def test_qbinomial_against_product_formula():
 def test_qbinomial_far_past_the_recursion_limit():
     assert qbinomial(1500, 1)(1) == 1500
     assert qbinomial(1500, 2)(1) == comb(1500, 2)
+    assert qbinomial(1500, 1499)(1) == 1500
+    assert qbinomial(1500, 1498)(1) == comb(1500, 2)
+    # a whole-row builder overflows here: the middle of row 80 is past the
+    # 64-bit bound
+    assert qbinomial(80, 1)(1) == 80
 
 
 def test_galois_frozen_expansions():
@@ -172,7 +177,7 @@ def test_mismatch_is_reported_as_data(monkeypatch, verify):
 def test_a_qbinomial_stand_in_leaves_no_cached_value(monkeypatch):
     """Values first computed while a stand-in is bound to
     identities.qbinomial are right once it is gone."""
-    qlattice.identities._qbinomial.cache_clear()
+    qlattice.identities._GAUSSIAN.clear()
     monkeypatch.setattr(qlattice.identities, "qbinomial", off_by_one_at(2))
     assert not verify_fs(6)["ok"]
     assert not verify_ds(6)["ok"]

@@ -36,6 +36,16 @@ def test_parse_valid_paths():
     assert str(MotzkinPath("UHD")) == "UHD"
 
 
+@pytest.mark.parametrize("steps", [["U", "H", "D"], ("U", "H", "D")])
+def test_a_sequence_of_steps_is_the_word_path(steps):
+    word = MotzkinPath("UHD")
+    p = MotzkinPath(steps)
+    assert p == word
+    assert p.steps == "UHD" and len(p) == 3
+    assert p.heights == word.heights == (0, 1, 1, 0)
+    assert p.weight() == word.weight() == QPoly((0, 1))
+
+
 def test_parse_errors():
     with pytest.raises(ValueError, match="below the axis"):
         MotzkinPath("DU")
