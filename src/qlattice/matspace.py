@@ -65,12 +65,25 @@ class Rref:
     fresh copy.
     This is why Rref keeps its instance dict; a ``__slots__`` or NamedTuple
     rewrite must keep room for the memo.
+
+    ``__init__`` writes the four fields straight into that dict, which
+    costs about half of the generated frozen one (one ``object.__setattr__``
+    per field); assignment still raises ``FrozenInstanceError``.  Over F_2
+    the rows stay tuples: the walk's bit rows (see
+    :func:`qlattice.psi._row_step`) are its own and never stored here.
     """
 
     field: GF
     n: int
     rows: tuple
     pivots: tuple
+
+    def __init__(self, field, n, rows, pivots):
+        memo = self.__dict__
+        memo["field"] = field
+        memo["n"] = n
+        memo["rows"] = rows
+        memo["pivots"] = pivots
 
     @property
     def dim(self):

@@ -48,6 +48,16 @@ class MotzkinPath:
         self.steps = steps if isinstance(steps, str) else "".join(steps)
         self.heights = tuple(heights)
 
+    @classmethod
+    def _walked(cls, steps, heights):
+        """The path of a word and its heights as a walk built them, with no
+        check: :func:`enumerate_paths` takes only the steps of
+        :func:`_steps`, so each word is a path and its heights are right."""
+        path = cls.__new__(cls)
+        path.steps = steps
+        path.heights = heights
+        return path
+
     def __len__(self):
         return len(self.steps)
 
@@ -118,13 +128,21 @@ def _paths(n, state, step):
             stack.append((word + ch, h2, step(state, j + 1, ch, h)))
 
 
+def _with_height(heights, j, ch, h):
+    """The ``step`` of :func:`enumerate_paths`: the heights so far, and the
+    height after ch from height h."""
+    return heights + (h + 1 if ch == "U" else h - 1 if ch == "D" else h,)
+
+
 def enumerate_paths(n, max_size=None):
     """Yield every path of length n once, in the D < H < U order of
-    :func:`_paths`; TooLargeError past max_size (default DEFAULT_MAX_SIZE)."""
+    :func:`_paths`, which carries the heights of each prefix so that no
+    word is checked again; TooLargeError past max_size (default
+    DEFAULT_MAX_SIZE)."""
     _check_ceiling(_motzkin_numbers(n), max_size,
                    lambda total: f"{total} paths of length {n}")
-    for word, _ in _paths(n, None, lambda state, j, ch, h: None):
-        yield MotzkinPath(word)
+    for word, heights in _paths(n, (0,), _with_height):
+        yield MotzkinPath._walked(word, heights)
 
 
 def weight_sums_by_downs(n):

@@ -9,7 +9,8 @@ checked against each other.
 
 The pivot-set route is one pass: the row step :func:`_row_step` finds each
 row's right pivot from the rows carried so far, which it is given and does
-not change, and :func:`_pivot_path` spells the word.  The walk
+not change (over F_2 on rows packed into ints, by XOR), and
+:func:`_pivot_path` spells the word.  The walk
 :func:`subspaces_with_paths` behind ``sbd``, ``scd`` and ``census`` takes
 one row step per node of each pivot cell of the enumeration, on one
 explicit stack, and :func:`psi` is that walk over the one-subspace cell of
@@ -109,13 +110,40 @@ def classify_columns(x):
 
 
 def _row_step(field):
-    """The row step over F_q: a function mapping (carried, row) to the row's
-    (0-based right pivot, row reduced up to it), where ``carried`` maps each
-    0-based right pivot to the carried row that ends there, or to None.  It
-    scans from the right, subtracting the multiple of each carried row it
-    meets that clears that entry (the whole row, as it is zero past its
-    right pivot), until no carried row ends there.  Neither argument is
-    changed."""
+    """The row step over F_q: a pair (encode, right_pivot).  ``encode``
+    maps a row to the form the step reads, and ``right_pivot`` maps
+    (carried, encoded row) to the row's (0-based right pivot, row reduced up
+    to it), where ``carried`` maps each 0-based right pivot to the reduced
+    row that ends there, or to None.  It scans from the right, subtracting
+    the multiple of each carried row it meets that clears that entry (the
+    whole row, as it is zero past its right pivot), until no carried row
+    ends there.  Neither argument is changed.
+
+    Over F_2 a row is an int with bit t for 0-based column t, as in the
+    M4RI-style kernel :func:`qlattice.decomp._gf2_row`: the right pivot is
+    the top bit and each subtraction one XOR, with no field operation and no
+    list copy.  Over every other field ``encode`` is the identity and each
+    subtraction is one ``GF.sub_scaled``; that general step is also valid at
+    q = 2 and is the bit step's test reference."""
+    if field.q == 2:
+        def encode(row):
+            return sum(1 << t for t, e in enumerate(row) if e)
+
+        def right_pivot(carried, r):
+            while True:
+                t = r.bit_length() - 1
+                prow = carried[t]
+                if prow is None:
+                    return t, r
+                r ^= prow
+
+        return encode, right_pivot
+    return (lambda row: row), _general_right_pivot(field)
+
+
+def _general_right_pivot(field):
+    """The ``right_pivot`` of :func:`_row_step` on tuple rows over any
+    field, by ``GF.sub_scaled``."""
     div, sub_scaled = field.div, field.sub_scaled
 
     def right_pivot(carried, row):
@@ -151,8 +179,10 @@ def _pivot_path(left, right, n, paths):
 
 
 def psi(x):
-    """The Motzkin path of a subspace, one row step per row of x.  The
-    prefix height at j equals the rank of the section at j.
+    """The Motzkin path of a subspace, one row step per row of x, each row
+    encoded as :func:`_row_step` reads it (over F_2 an int, so each
+    subtraction is one XOR).  The prefix height at j equals the rank of the
+    section at j.
 
     The path is a function of the value of x, which is immutable, so it is
     kept in x's memo (``x.__dict__["_path"]``) and later calls return it.
@@ -163,10 +193,10 @@ def psi(x):
         return path
     _check_rref(x, "psi")
     carried = [None] * x.n
-    right_pivot = _row_step(x.field)
+    encode, right_pivot = _row_step(x.field)
     right = 0
     for row in x.rows:
-        t, r = right_pivot(carried, row)
+        t, r = right_pivot(carried, encode(row))
         carried[t] = r
         right |= 1 << t
     left = sum(1 << (p - 1) for p in x.pivots)
@@ -187,21 +217,26 @@ def subspaces_with_paths(field, n, max_size=None, primary_only=False):
     :func:`qlattice.matspace.enumerate_subspaces` and under its ceiling.
 
     Each pivot cell is walked depth first on one stack of (rows, right pivot
-    bitmask, carried) entries, ``carried`` as in :func:`_row_step`.  An
-    entry with a row per pivot is a subspace; any other pushes a child per
-    choice of its next row, last choice first, each with a copy of
-    ``carried`` that also holds its new row.  With ``primary_only`` only the
-    primaries come out, the subspaces with L & R empty: a row whose right
-    pivot is a left pivot is skipped with its whole subtree, and the walk
-    stops above dimension n/2.
+    bitmask, carried) entries, ``carried`` as in :func:`_row_step`, whose
+    encoding of each choice is made once per cell: the row tuple goes into
+    the Rref and the encoded row (an int over F_2) into the step.  An entry
+    with a row per pivot is a subspace; any other pushes a child per choice
+    of its next row, last choice first, each with a copy of ``carried`` that
+    also holds its new row, or None for a child with a row per pivot, which
+    reads no carried row.  With ``primary_only`` only the primaries come
+    out, the subspaces with L & R empty: a row whose right pivot is a left
+    pivot is skipped with its whole subtree, and the walk stops above
+    dimension n/2.
     """
-    right_pivot = _row_step(field)
+    encode, right_pivot = _row_step(field)
     paths = {}  # word -> MotzkinPath
     for pivots, choices in _pivot_cells(field, n, max_size,
                                         n // 2 if primary_only else n):
         k = len(pivots)
         left = sum(1 << (p - 1) for p in pivots)
         by_right = {}  # right pivot bitmask -> path, within this cell
+        cell = [[(row, encode(row)) for row in reversed(rows)]
+                for rows in choices]
         stack = [((), 0, [None] * n)]
         while stack:
             rows, right, carried = stack.pop()
@@ -213,12 +248,16 @@ def subspaces_with_paths(field, n, max_size=None, primary_only=False):
                                                          paths)
                 yield Rref(field, n, rows, pivots), path
                 continue
-            for row in reversed(choices[i]):
-                t, r = right_pivot(carried, row)
+            leaf = i + 1 == k
+            for row, code in cell[i]:
+                t, r = right_pivot(carried, code)
                 if primary_only and left >> t & 1:
                     continue
-                below = carried.copy()
-                below[t] = r
+                if leaf:
+                    below = None
+                else:
+                    below = carried.copy()
+                    below[t] = r
                 stack.append((rows + (row,), right | 1 << t, below))
 
 

@@ -4,6 +4,7 @@ is checked against the memo-free route, which starts every step from a fresh
 copy of the subspace, and the memo is checked to stay invisible to equality,
 hashing, repr, pickling and the dataclass fields."""
 
+import copy
 import dataclasses
 import importlib
 import pickle
@@ -163,6 +164,42 @@ def test_an_rref_is_a_frozen_value():
     assert "_path" in vars(x) and "_path" not in vars(y)
     assert x == y and hash(x) == hash(y) and repr(x) == text
     assert x != Rref(F3, 4, ((1, 0, 2, 0),), (1,))
+
+
+#: A frozen dataclass with Rref's name and fields and the generated
+#: constructor, the reference for Rref's own ``__init__``.
+Twin = dataclasses.make_dataclass(
+    "Rref", [(f.name, f.type) for f in dataclasses.fields(Rref)],
+    frozen=True)
+
+
+def test_the_rref_constructor_keeps_the_generated_contract():
+    """Rref writes its fields into its instance dict; fields still cannot
+    be assigned, ==, hash and repr match the generated twin whether or not
+    the memo holds keys, and keywords, replace, copy and pickle keep the
+    four fields."""
+    values = [x for q in (2, 3) for x in every_subspace(q)]
+    twins = [Twin(x.field, x.n, x.rows, x.pivots) for x in values]
+    for x in values[1::2]:
+        psi(x)
+        vars(x).update(_primary=fresh(x), _valid=True)
+    x = Rref(F3, 4, ((1, 0, 2, 0), (0, 1, 1, 0)), (1, 2))
+    for name in ("field", "n", "rows", "pivots", "_path"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, None)
+    for y, twin in zip(values, twins):
+        assert hash(y) == hash(twin) and repr(y) == repr(twin)
+    for y, twin in zip(values[::97], twins[::97]):
+        assert [z == y for z in values] == [t == twin for t in twins]
+    fields = ("field", "n", "rows", "pivots")
+    for y in values[::31] + [x]:
+        expected = [getattr(y, name) for name in fields]
+        for z in (Rref(**dict(zip(fields, expected))), copy.copy(y),
+                  dataclasses.replace(y), pickle.loads(pickle.dumps(y))):
+            assert [getattr(z, name) for name in fields] == expected
+            assert z == y and hash(z) == hash(y)
+    y = dataclasses.replace(x, rows=x.rows[:1], pivots=x.pivots[:1])
+    assert (y.field, y.n, y.rows, y.pivots) == (F3, 4, ((1, 0, 2, 0),), (1,))
 
 
 def test_psi_refuses_an_invalid_rref_once_for_every_reader():

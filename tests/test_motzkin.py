@@ -69,6 +69,18 @@ def test_enumeration_n3_exact_order():
         assert [p.steps for p in enumerate_paths(n)] == sorted(accepted)
 
 
+def test_walked_paths_equal_the_checked_paths():
+    """enumerate_paths builds each path from the walk's own heights with no
+    check; every field equals the checked MotzkinPath of the same word."""
+    for n in range(11):
+        for p in enumerate_paths(n):
+            checked = MotzkinPath(p.steps)
+            assert p == checked and type(p.steps) is str
+            assert p.heights == checked.heights
+            assert p.horizontals == checked.horizontals
+            assert p.weight() == checked.weight()
+
+
 def test_enumeration_counts():
     expected = [1, 1, 2, 4, 9, 21, 51, 127, 323]
     for n in range(9):

@@ -10,6 +10,7 @@ from qlattice import (MotzkinPath, Rref, classify_column, classify_columns,
                       section_rank, section_ranks, set_and_subset, span,
                       subspaces_with_paths, zero_subspace)
 from qlattice.acceptance import _eight_col_rref, _six_col_rref
+from qlattice.psi import _general_right_pivot, _pivot_path, _row_step
 
 F2 = gf(2)
 F3 = gf(3)
@@ -205,6 +206,28 @@ def test_walk_is_psi_over_the_enumeration(q):
         assert list(subspaces_with_paths(field, n, primary_only=True)) == [
             (x, p) for x, p in expected
             if 2 * x.dim <= n and p.down_count == x.dim]
+
+
+def test_the_f2_bit_step_is_the_general_step():
+    """psi and the walk take the bit step over F_2.  The general sub_scaled
+    step, valid at q = 2, is its reference: on every subspace of F_2^n,
+    n <= 7, each row reaches the same right pivot and the same reduced row,
+    so the right pivot mask and the path are the same."""
+    encode, bit_step = _row_step(F2)
+    general_step = _general_right_pivot(F2)
+    assert encode((1, 0, 1, 1)) == 0b1101 and _row_step(F3)[0]((1, 2)) == (1, 2)
+    paths = {}
+    for n in range(8):
+        for x, path in subspaces_with_paths(F2, n):
+            bits, rows, right = [None] * n, [None] * n, 0
+            for row in x.rows:
+                t, r = bit_step(bits, encode(row))
+                u, s = general_step(rows, row)
+                assert (t, r) == (u, encode(s))
+                bits[t], rows[u] = r, s
+                right |= 1 << u
+            left = sum(1 << (p - 1) for p in x.pivots)
+            assert _pivot_path(left, right, n, paths) == path
 
 
 def test_walk_edges():
