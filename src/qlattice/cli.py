@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import acceptance
 from .algebra import gf
@@ -335,9 +336,16 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The parser :func:`main` keeps, built on its first call: each parse
+    fills a new namespace, so no flag or default of one call reaches the
+    next."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "n", None) is not None and args.n < 0:
         print(f"error: --n must be nonnegative, got {args.n}", file=sys.stderr)
         return 2

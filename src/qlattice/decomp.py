@@ -22,17 +22,21 @@ the row is phi(b) divided by it; :func:`gamma_inv` remains as the
 reference matrix it is tested against.  Over F_2 that entry is 1 and phi(b)
 is the complement of b (mu(1, x) is 1 + x), so the new row is e_j plus the
 XOR of the tails of the basis rows whose column-j entry is 0.
-:func:`ins_col` builds it for q = 2 by a bit-row kernel, :func:`_gf2_row`,
-in the style of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010): the rows
-above column j become ints, and its own XOR elimination of the section
-gives the guard and the new row, with no field operation, no phi and no
-:func:`qlattice.matspace._eliminate`.  The general builder,
-:func:`_general_row`, serves every other field and is the reference the
-kernel is tested against.  Deletion takes the general route at every q.
-An insertion is a row builder and then the one rank-one merge,
-:func:`_with_row`, which takes the row unreduced.  Each row update in
-insertion, deletion and the merge is one call of the field's row kernel,
-``GF.sub_scaled``, where entries meet.
+:func:`ins_col` is one bit kernel for q = 2, :func:`_gf2_ins_col`, in
+the style of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010), carried along
+the chain: every row is an int, kept in the Rref's memo as ``_bits`` and
+packed only for a subspace that comes without it, such as a block's
+primary.  Its own XOR elimination of the section gives the guard and the
+new row, and the new row is XORed into the rows above j, with no field
+operation, no phi and no :func:`qlattice.matspace._eliminate`; the result
+carries its packed rows, so the next insertion into it reads ints.  On
+every other field an insertion is the general row builder,
+:func:`_general_row`, and then the one rank-one merge, :func:`_with_row`,
+which takes the row unreduced; that route is valid at q = 2 too and is the
+reference the kernel is tested against.  Deletion takes the general route
+at every q.  Each row update in the general insertion, deletion and the
+merge is one call of the field's row kernel, ``GF.sub_scaled``, where
+entries meet.
 
 The chains of a block are the bracket chains of its ground set (Greene and
 Kleitman, JCTA 1976), built by the recursion of de Bruijn, van Ebbenhorst
@@ -64,7 +68,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .matspace import Mat, Rref, _reduced, express_in_rows, left_pivots
 from .motzkin import MotzkinPath
@@ -159,10 +163,12 @@ def del_col(x, j):
 def ins_col(x, j):
     """Insert a pivot at the nonpivotal inessential column j: the result
     contains x with dimension one higher and the same Motzkin path.  Inverse
-    of :func:`del_col` at j: the new row of :func:`_gf2_row` over F_2, else
-    of :func:`_general_row`, merged into x by :func:`_with_row`."""
-    return _with_row(x, j, _gf2_row(x, j) if x.field.q == 2
-                     else _general_row(x, j))
+    of :func:`del_col` at j: the bit kernel :func:`_gf2_ins_col` over F_2,
+    else the new row of :func:`_general_row` merged into x by
+    :func:`_with_row`."""
+    if x.field.q == 2:
+        return _gf2_ins_col(x, j)
+    return _with_row(x, j, _general_row(x, j))
 
 
 def _not_insertable(j):
@@ -207,20 +213,42 @@ def _with_row(x, j, v):
     return Rref(x.field, x.n, tuple(rows), x.pivots[:m] + (j,) + x.pivots[m:])
 
 
+def _packed(row):
+    """A row over F_2 as an int, bit n - c for column c."""
+    v = 0
+    for bit in row:
+        v = v + v + bit
+    return v
+
+
 #: Maps the text digits of a binary numeral to the bytes 0 and 1.
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _gf2_row(x, j):
-    """:func:`_general_row` over F_2, on the m rows above column j packed
-    into ints, bit n - c for column c.
+@lru_cache(maxsize=4096)
+def _unpacked(v):
+    """The row tuple of a packed row behind a sentinel bit, 1 << n | row:
+    the binary digits of v after its leading 1.  Bounded, so it holds every
+    row up to n = 11 and evicts beyond."""
+    return tuple(format(v, "b")[1:].encode().translate(_BIT_BYTES))
+
+
+def _gf2_ins_col(x, j):
+    """:func:`ins_col` over F_2 as one bit kernel on the rows packed into
+    ints, bit n - c for column c, kept in the memo key ``_bits`` (see
+    :class:`qlattice.matspace.Rref`): x's packed rows are read from there,
+    or packed once, and the result carries its own, so the next insertion
+    into it packs nothing.
 
     The guard is the forward elimination of the section (tail, column-j
-    bit) by XOR: a row whose tail reduces to zero with its column-j bit left
-    set puts a pivot on column j, which is then essential.  The rows whose
-    tails stay independent are the lexically first basis, and the new row
-    is e_j plus the XOR of the tails of those whose column-j bit is 0 (see
-    the module docstring)."""
+    bit) of the rows above column j by XOR: a row whose tail reduces to
+    zero with its column-j bit left set puts a pivot on column j, which is
+    then essential.  The rows whose tails stay independent are the
+    lexically first basis, and the new row is e_j plus the XOR of the tails
+    of those whose column-j bit is 0 (see the module docstring).  It is zero
+    at every pivot of x, so it is XORed into each row above j that has bit
+    j set, as :func:`_with_row` merges it, and goes in at its pivot's
+    place."""
     n = x.n
     if not 1 <= j <= n:
         raise ValueError(f"column {j} outside [1, {n}]")
@@ -228,28 +256,40 @@ def _gf2_row(x, j):
     m = bisect_right(pivots, j)
     if m and pivots[m - 1] == j:
         raise _not_insertable(j)
-    w = n - j
-    mask = (1 << w) - 1
+    memo = x.__dict__
+    bits = memo.get("_bits")
+    if bits is None:
+        bits = memo["_bits"] = tuple(map(_packed, x.rows))
+    jbit = 1 << n - j
+    mask = jbit - 1
     reduced = {}
-    a = 0
-    for row in x.rows[:m]:
-        v = 0
-        for bit in row[j - 1:]:
-            v = v + v + bit
+    a = jbit
+    for v in bits[:m]:
+        v &= jbit | mask
         r = v
         while r & mask:
             top = (r & mask).bit_length()
             if top not in reduced:
                 reduced[top] = r
-                if not v >> w:
+                if not v & jbit:
                     a ^= v
                 break
             r ^= reduced[top]
         else:
             if r:
                 raise _not_insertable(j)
-    return (0,) * (j - 1) + tuple(
-        format(1 << w | a, f"0{w + 1}b").encode().translate(_BIT_BYTES))
+    sentinel = 1 << n
+    rows, packed = list(x.rows), list(bits)
+    for i in range(m):
+        v = bits[i]
+        if v & jbit:
+            packed[i] = v = v ^ a
+            rows[i] = _unpacked(sentinel | v)
+    rows.insert(m, _unpacked(sentinel | a))
+    packed.insert(m, a)
+    y = Rref(x.field, n, tuple(rows), pivots[:m] + (j,) + pivots[m:])
+    y.__dict__["_bits"] = tuple(packed)
+    return y
 
 
 def del_set(x, cols):

@@ -239,20 +239,26 @@ class CensusRow:
 def fiber_census(field, n, max_size=None):
     """Group all subspaces of F_q^n by their path, count primaries and fiber
     sizes, and assert the predicted counts and the per-rank binomial
-    expansion of the rank numbers.  Raises RuntimeError on any violation."""
-    counts = {}
-    rank_counts = [0] * (n + 1)
+    expansion of the rank numbers.  Raises RuntimeError on any violation.
+
+    The walk keeps one tally per path word, the count of its subspaces by
+    dimension; the primaries of a path are those of dimension its down
+    count, its fiber is the whole tally and the rank numbers are the column
+    sums."""
+    tally = {}
     for x, path in subspaces_with_paths(field, n, max_size):
-        entry = counts.setdefault(path.steps, [0, 0])
-        entry[1] += 1
-        if path.down_count == x.dim:
-            entry[0] += 1
-        rank_counts[x.dim] += 1
+        ranks = tally.get(path.steps)
+        if ranks is None:
+            ranks = tally[path.steps] = [0] * (n + 1)
+        ranks[len(x.rows)] += 1
+    rank_counts = [sum(col) for col in zip(*tally.values())]
     q = field.q
     rows = []
+    unseen = [0] * (n + 1)
     for p in enumerate_paths(n, max_size):
-        primary, fiber = counts.get(p.steps, (0, 0))
+        ranks = tally.get(p.steps, unseen)
         d = p.down_count
+        primary, fiber = ranks[d], sum(ranks)
         predicted = (_QM1 ** d) * p.weight()
         block_size = 2 ** (n - 2 * d)
         if primary != predicted(q):

@@ -57,19 +57,22 @@ class Rref:
     ``_path``, its Motzkin path, set by :func:`qlattice.psi.psi`;
     ``_primary``, the primary rref of its Boolean block, set by
     :func:`qlattice.decomp.scd_cover` on each cover it returns (never on a
-    primary itself); and ``_valid``, set by :func:`rref_left` on the rref
-    it builds, which is valid by construction from a :class:`Mat` of the
+    primary itself); ``_valid``, set by :func:`rref_left` on the rref it
+    builds, which is valid by construction from a :class:`Mat` of the
     documented form, so that the readers in :mod:`qlattice.psi` skip
-    :func:`is_valid_rref` for it.  The memo is no field: equality, hashing
-    and ``repr`` read the four fields only, so a memoised Rref equals its
-    fresh copy.
+    :func:`is_valid_rref` for it; and, over F_2, ``_bits``, the rows packed
+    into ints (bit n - c for column c), set by the insertion kernel
+    :func:`qlattice.decomp._gf2_ins_col` on each rref it reads or returns,
+    so that the next insertion into it packs nothing.  The memo is no
+    field: equality, hashing and ``repr`` read the four fields only, so a
+    memoised Rref equals its fresh copy.
     This is why Rref keeps its instance dict; a ``__slots__`` or NamedTuple
     rewrite must keep room for the memo.
 
     ``__init__`` writes the four fields straight into that dict, which
     costs about half of the generated frozen one (one ``object.__setattr__``
     per field); assignment still raises ``FrozenInstanceError``.  Over F_2
-    the rows stay tuples: the walk's bit rows (see
+    the rows stay tuples; the walk's bit rows (see
     :func:`qlattice.psi._row_step`) are its own and never stored here.
     """
 

@@ -119,10 +119,11 @@ def _row_step(field):
     whole row, as it is zero past its right pivot), until no carried row
     ends there.  Neither argument is changed.
 
-    Over F_2 a row is an int with bit t for 0-based column t, as in the
-    M4RI-style kernel :func:`qlattice.decomp._gf2_row`: the right pivot is
-    the top bit and each subtraction one XOR, with no field operation and no
-    list copy.  Over every other field ``encode`` is the identity and each
+    Over F_2 a row is an int with bit t for 0-based column t, in the
+    M4RI style of the insertion kernel
+    :func:`qlattice.decomp._gf2_ins_col`: the right pivot is the top bit
+    and each subtraction one XOR, with no field operation and no list
+    copy.  Over every other field ``encode`` is the identity and each
     subtraction is one ``GF.sub_scaled``; that general step is also valid at
     q = 2 and is the bit step's test reference."""
     if field.q == 2:

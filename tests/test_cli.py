@@ -317,6 +317,28 @@ def test_max_size_only_where_something_is_enumerated():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_every_call_with_nothing_left_over(capsys):
+    """main keeps one parser; calls in turn with and without --json or
+    --csv each print what a first call with a new parser prints, so no flag
+    or default of one call leaks into the next."""
+    turns = [("scd", "--q", "2", "--n", "3", "--json"),
+             ("scd", "--q", "2", "--n", "3"),
+             ("census", "--q", "3", "--n", "3", "--csv"),
+             ("census", "--q", "3", "--n", "3")]
+    first = []
+    for argv in turns:
+        qlattice.cli._parser.cache_clear()
+        first.append(run(capsys, *argv))
+    assert len({out for _, out, _ in first}) == len(turns)
+    parser = qlattice.cli._parser()
+    for argv in turns + turns[::-1]:
+        assert run(capsys, *argv) == first[turns.index(argv)]
+        fresh = qlattice.cli.build_parser()
+        assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv))
+    assert qlattice.cli._parser() is parser
+    assert qlattice.cli.build_parser() is not parser
+
+
 @pytest.mark.parametrize("argv, message", [
     (("census", "--q", "2", "--n", "4"), "F_2^4 has 67 subspaces"),
     (("sbd", "--q", "3", "--n", "3"), "F_3^3 has 28 subspaces"),

@@ -534,9 +534,10 @@ def test_scd_cover_inserts_once_per_step(q, monkeypatch):
 
 @pytest.mark.parametrize("q", ALL_FIELDS)
 def test_every_insertion_is_one_merge(q, monkeypatch):
-    """ins_col, by the bit-row kernel on F_2 and the general builder on
-    every other field, ends in exactly one _with_row call and reduces no
-    row; each scd_cover step reduces its one row by x once."""
+    """ins_col by the general builder, on every field but F_2, ends in
+    exactly one _with_row call and reduces no row; on F_2 the bit kernel
+    makes no _with_row call, reduces no row and equals the general route;
+    each scd_cover step reduces its one row by x once."""
     merges, reductions = [], []
     real_with_row, real_reduced = decomp._with_row, decomp._reduced
 
@@ -555,8 +556,12 @@ def test_every_insertion_is_one_merge(q, monkeypatch):
         for j in set_and_subset(x)[0] - left_pivots(x):
             merges.clear()
             reductions.clear()
-            ins_col(x, j)
-            assert merges == [j] and reductions == []
+            y = ins_col(x, j)
+            if q == 2:
+                assert merges == [] and reductions == []
+                assert y == real_with_row(x, j, decomp._general_row(x, j))
+            else:
+                assert merges == [j] and reductions == []
             inserted += 1
         y = x
         while True:
@@ -783,52 +788,90 @@ def test_cover_walk_on_every_field(x):
     assert 2 * lo.dim >= x.n
 
 
-def insertion_by(builder, x, j):
-    """The new row builder(x, j), or the text of its ValueError; ins_col
-    merges either builder's row the same way, so equal rows are equal
-    insertions."""
+def insertion_by(insert, x, j):
+    """insert(x, j), or the text of its ValueError."""
     try:
-        return builder(x, j)
+        return insert(x, j)
     except ValueError as exc:
         return str(exc)
 
 
+def general_insertion(x, j):
+    """ins_col by the general route, valid on every field: the row of
+    _general_row merged by _with_row; the reference for the F_2 kernel."""
+    return decomp._with_row(x, j, decomp._general_row(x, j))
+
+
+def fresh(x):
+    """A memo-free copy of x."""
+    return Rref(x.field, x.n, x.rows, x.pivots)
+
+
+def carrying_bits(x):
+    """A copy of the F_2 rref x that carries its packed rows, bit n - c for
+    column c, in the memo, as an insertion result does."""
+    y = fresh(x)
+    vars(y)["_bits"] = tuple(int("".join(map(str, row)), 2)
+                             for row in x.rows)
+    return y
+
+
+def gf2_kernel_matches(x, j):
+    """The F_2 kernel equals the general route at (x, j), error texts
+    included, both on a fresh x, which it packs, and on an x that already
+    carries its packed rows; the result carries its own."""
+    expected = insertion_by(general_insertion, fresh(x), j)
+    for start in (fresh(x), carrying_bits(x)):
+        got = insertion_by(ins_col, start, j)
+        assert got == expected
+        if not isinstance(got, str):
+            assert vars(got)["_bits"] == vars(carrying_bits(got))["_bits"]
+    return expected
+
+
 @pytest.mark.parametrize("q", ALL_FIELDS)
 def test_row_builders_keep_the_merge_contract(q):
-    """Every row builder returns a row tuple that is 1 at j and 0 before j
-    and at every pivot of x, the precondition of _with_row, and the merge
-    of that row is the span of x and the row; at a column that is not
-    insertable the builder raises."""
+    """The general row builder returns a row tuple that is 1 at j and 0
+    before j and at every pivot of x, the precondition of _with_row, and the
+    merge of that row is the span of x and the row; at a column that is not
+    insertable the builder raises.  On F_2 the bit kernel returns that
+    merge, with the row at its pivot's place, from a fresh x and from one
+    carrying its packed rows, and raises where the builder does."""
     field = gf(q)
-    builders = ((decomp._gf2_row, decomp._general_row) if q == 2
-                else (decomp._general_row,))
     merged = 0
     for n in range(5 if q <= 3 else 4):
         for x in enumerate_subspaces(field, n):
             free = set_and_subset(x)[0] - left_pivots(x)
-            for j, builder in product(range(1, n + 1), builders):
+            for j in range(1, n + 1):
+                starts = ((fresh(x), carrying_bits(x)) if q == 2 else ())
                 if j not in free:
-                    with pytest.raises(ValueError, match="cannot insert"):
-                        builder(x, j)
+                    for insert, start in ((decomp._general_row, x),
+                                          *((ins_col, y) for y in starts)):
+                        with pytest.raises(ValueError, match="cannot insert"):
+                            insert(start, j)
                     continue
-                v = builder(x, j)
+                v = decomp._general_row(x, j)
                 assert isinstance(v, tuple) and len(v) == n
                 assert v[j - 1] == 1 and not any(v[:j - 1])
                 assert not any(v[p - 1] for p in x.pivots)
-                assert decomp._with_row(x, j, v) == span(field,
-                                                         x.rows + (v,), n)
+                y = decomp._with_row(x, j, v)
+                assert y == span(field, x.rows + (v,), n)
+                for start in starts:
+                    got = ins_col(start, j)
+                    assert got == y
+                    assert got.rows[bisect_right(x.pivots, j)] == v
                 merged += 1
     assert merged
 
 
 def test_gf2_kernel_matches_the_general_route_exhaustively():
-    """The bit-row kernel equals the general insertion, error texts
-    included, for every subspace of F_2^n, n <= 6, at every column."""
+    """The bit kernel equals the general insertion, error texts included,
+    for every subspace of F_2^n, n <= 6, at every column, packed afresh or
+    carried."""
     for n in range(7):
         for x in enumerate_subspaces(F2, n):
             for j in range(n + 2):
-                assert (insertion_by(decomp._gf2_row, x, j)
-                        == insertion_by(decomp._general_row, x, j))
+                gf2_kernel_matches(x, j)
 
 
 def test_gf2_insertion_is_undone_by_deletion():
@@ -850,13 +893,50 @@ def test_gf2_insertion_is_undone_by_deletion():
 @example(20, 0)
 def test_gf2_kernel_matches_the_general_route_on_wide_rows(n, seed):
     """Rows up to 20 bits wide, every column from 0 to n + 1, so the empty
-    tail at j = n and the spaces F_2^0 and F_2^1 are always reached."""
+    tail at j = n and the spaces F_2^0 and F_2^1 are always reached; packed
+    afresh or carried."""
     x = sample_subspace(F2, n, random.Random(seed))
     for j in range(n + 2):
-        got = insertion_by(decomp._gf2_row, x, j)
-        assert got == insertion_by(decomp._general_row, x, j)
+        got = gf2_kernel_matches(x, j)
         if not isinstance(got, str):
             assert del_col(ins_col(x, j), j) == x
+
+
+def test_gf2_insertion_packs_only_what_carries_no_packed_rows(monkeypatch):
+    """Building the chains of scd over F_2^n, n <= 6, packs only the rows of
+    the primaries: every other member is read from its memo."""
+    packed = []
+    real_packed = decomp._packed
+
+    def counting_packed(row):
+        packed.append(row)
+        return real_packed(row)
+
+    monkeypatch.setattr(decomp, "_packed", counting_packed)
+    for n in range(7):
+        packed.clear()
+        primaries = [chain[0] for chain in scd(F2, n).chains
+                     if len(chain) > 1 and is_primary(chain[0])]
+        assert packed == [row for p in primaries for row in p.rows]
+
+
+def test_gf2_chain_members_carry_their_rows_packed():
+    """Every member of scd over F_2^n, n <= 6, that an insertion built or
+    read carries its rows packed, bit n - c for column c, and they unpack to
+    its rows; only a primary no insertion read carries none."""
+    carried = 0
+    for n in range(7):
+        for chain in scd(F2, n).chains:
+            for y in chain:
+                bits = vars(y).get("_bits")
+                if bits is None:
+                    assert is_primary(y) and len(chain) == 1
+                    continue
+                assert all(0 <= b < 1 << n for b in bits)
+                assert tuple(tuple(int(c) for c in format(b, f"0{n}b"))
+                             for b in bits) == y.rows
+                carried += 1
+    assert carried
 
 
 @pytest.mark.parametrize("q", (2, 3))

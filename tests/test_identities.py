@@ -1,9 +1,11 @@
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ALL_FIELDS
 import qlattice.identities
 from qlattice import (Involution, Mat, QPoly, Rref, TooLargeError, biane,
                       boolean_block, classify_columns, enumerate_involutions,
@@ -354,6 +356,23 @@ def test_census_totals_and_all_h_row():
             flat = next(r for r in rows if r.path.steps == "H" * n)
             assert flat.primary_count == 1
             assert flat.block_size == 2**n
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_census_tally_matches_a_plain_count(q):
+    """The census rows, read off one tally per path by dimension, equal a
+    plain count of the walk's subspaces, primaries and fibers, path by
+    path."""
+    field = gf(q)
+    for n in range(6 if q == 2 else 5 if q == 3 else 4):
+        primaries, fibers = Counter(), Counter()
+        for x, path in subspaces_with_paths(field, n):
+            fibers[path.steps] += 1
+            primaries[path.steps] += x.dim == path.down_count
+        rows = fiber_census(field, n)
+        assert [r.path for r in rows] == list(enumerate_paths(n))
+        assert ({r.path.steps: (r.primary_count, r.fiber_size) for r in rows}
+                == {w: (primaries[w], fibers[w]) for w in fibers})
 
 
 @pytest.mark.parametrize("entry", [

@@ -1,8 +1,9 @@
-"""The memo an Rref carries: the path psi keeps on it, and the primary and
-path scd_cover hands on to each cover it returns.  The memoised chain walk
-is checked against the memo-free route, which starts every step from a fresh
-copy of the subspace, and the memo is checked to stay invisible to equality,
-hashing, repr, pickling and the dataclass fields."""
+"""The memo an Rref carries: the path psi keeps on it, the primary and path
+scd_cover hands on to each cover it returns, and the packed rows of the F_2
+insertion kernel.  The memoised chain walk is checked against the memo-free
+route, which starts every step from a fresh copy of the subspace, and the
+memo is checked to stay invisible to equality, hashing, repr, pickling and
+the dataclass fields."""
 
 import copy
 import dataclasses
@@ -13,9 +14,9 @@ import pytest
 
 from conftest import ALL_FIELDS
 from qlattice import (Mat, Rref, classify_column, classify_columns, del_set,
-                      enumerate_subspaces, gf, is_primary,
-                      path_from_classification, psi, rref_left, scd_cover,
-                      set_and_subset)
+                      enumerate_subspaces, gf, ins_col, is_primary,
+                      left_pivots, path_from_classification, psi, rref_left,
+                      scd_cover, set_and_subset)
 from qlattice import decomp
 
 #: The module; the package name qlattice.psi is the function.
@@ -146,6 +147,26 @@ def test_the_memo_stays_invisible(q):
         p = vars(y)["_primary"]
         assert "_primary" not in vars(p) and "_primary" not in vars(x)
     assert covers
+
+
+def test_the_packed_rows_stay_invisible():
+    """The rows packed into ints that the F_2 insertion kernel keeps on the
+    rref it reads and on the one it returns (``_bits``) stay out of ==,
+    hash, repr and a pickle round trip."""
+    inserted = 0
+    for x in every_subspace(2):
+        for j in set_and_subset(x)[0] - left_pivots(x):
+            y = ins_col(x, j)
+            for z in (x, y):
+                copy = fresh(z)
+                assert set(vars(z)) - set(vars(copy)) >= {"_bits"}
+                assert (z == copy and hash(z) == hash(copy)
+                        and repr(z) == repr(copy))
+                back = pickle.loads(pickle.dumps(z))
+                assert (back == copy and hash(back) == hash(copy)
+                        and repr(back) == repr(copy))
+            inserted += 1
+    assert inserted
 
 
 def test_an_rref_is_a_frozen_value():
