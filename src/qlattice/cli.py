@@ -24,7 +24,6 @@ import os
 import sys
 from functools import cache
 
-from . import acceptance
 from .algebra import gf
 from .decomp import sbd_blocks, scd_chains, scd_cover
 from .identities import fiber_census, verify_ds, verify_fs
@@ -233,7 +232,9 @@ def _cmd_census(args):
 
 
 def _cmd_selftest(args):
-    # timings are excluded so the output is identical across runs
+    # timings are excluded so the output is identical across runs; the
+    # battery is imported here, its only reader, not by every command
+    from . import acceptance
     results = acceptance.run_acceptance(keys=args.only, seed=args.seed)
     _emit(args, [{"key": r.key, "description": r.description, "ok": r.ok,
                   "detail": r.detail} for r in results],

@@ -8,15 +8,19 @@ path-preserving); their multi-column iterates; the Boolean block spanned by
 a primary rref; and the chain decomposition obtained by transporting the
 bracket-matching chains of a finite Boolean algebra through the insertions.
 
-Deletion, and insertion over every field but F_2, take their guard and
-the lexically first basis of the section from the one forward elimination
-that classifies the column (:func:`qlattice.psi.column_elimination`).
-Deletion reads the coordinates of the section rows in that basis from
-:func:`qlattice.matspace.express_in_rows`.  Insertion needs only the row
-c (I + b^T c)^-1 for the column-j entries b of the basis rows and
-c = phi(b), which by Sherman-Morrison is c / (1 + b . c^T).  phi keeps its
-running dot at l - 1, l the last nonzero entry of b seen so far (1 before
-any): at a nonzero x the dot gains x mu(-l, x) = x - l and moves to x - 1.
+Deletion takes its guard and the lexically first basis of the section
+from the one forward elimination that classifies the column
+(:func:`qlattice.psi.column_elimination`).  Insertion over every field but
+F_2 reads them off the row ends that :func:`qlattice.psi.psi` keeps on a
+subspace it has mapped, with no elimination, and takes them from that
+elimination only for a subspace psi has not mapped, such as a member of
+:func:`scd_chains`.  Deletion reads the coordinates of the section rows in
+that basis from :func:`qlattice.matspace.express_in_rows`.  Insertion
+needs only the row c (I + b^T c)^-1 for the column-j entries b of the basis
+rows and c = phi(b), which by Sherman-Morrison is c / (1 + b . c^T).  phi
+keeps its running dot at l - 1, l the last nonzero entry of b seen so far
+(1 before any): at a nonzero x the dot gains x mu(-l, x) = x - l and moves
+to x - 1.
 So 1 + b . phi(b)^T is the last nonzero entry of b, or 1 when b = 0, and
 the row is phi(b) divided by it; :func:`gamma_inv` remains as the
 reference matrix it is tested against.  Over F_2 that entry is 1 and phi(b)
@@ -60,6 +64,8 @@ S), v_g the row that ins_col(p, g) puts into p.  So a cover step,
 by :func:`_with_row`: one insertion.  p and the path are handed on in the
 cover's memo (see :class:`qlattice.matspace.Rref`), and deletion finds p
 only for a subspace that carries no memo, at the first step of a chain.
+Any other p is the subspace the first step mapped by psi, so every
+insertion into it reads the row ends and eliminates nothing.
 Every step scans the bracket word, unchecked over the ground set its path
 keeps, in :func:`_bracket_scan`.
 """
@@ -182,13 +188,30 @@ def _general_row(x, j):
     c (I + b^T c)^-1 for the column-j entries b of the basis rows and
     c = phi(b), that is phi(b) over the last nonzero entry of b (1 when
     b = 0; see the module docstring).  Like the basis rows, it is zero at
-    every later pivot of x."""
-    cls, _, e = column_elimination(x, j)
-    if cls.pivotal or cls.essential:
-        raise _not_insertable(j)
+    every later pivot of x.
+
+    When psi has mapped x, the guard and the basis are read off the row
+    ends it keeps (``_ends``, see :mod:`qlattice.psi`): j is insertable when
+    it is neither a left pivot nor an end, and the basis is the rows above
+    j that end after j.  Any other x, such as a member of
+    :func:`scd_chains` or a primary found by deletion, takes them from the
+    forward elimination of :func:`qlattice.psi.column_elimination`, which
+    is the reference for that read."""
+    ends = x.__dict__.get("_ends")
+    if ends is None:
+        cls, _, e = column_elimination(x, j)
+        if cls.pivotal or cls.essential:
+            raise _not_insertable(j)
+        kept = e.kept
+    else:
+        if not 1 <= j <= x.n:
+            raise ValueError(f"column {j} outside [1, {x.n}]")
+        if j in x.pivots or j in ends:
+            raise _not_insertable(j)
+        kept = [i for i, p in enumerate(x.pivots) if p < j < ends[i]]
     f = x.field
-    basis = [x.rows[i][j:] for i in e.kept]
-    b = tuple(x.rows[i][j - 1] for i in e.kept)
+    basis = [x.rows[i][j:] for i in kept]
+    b = tuple(x.rows[i][j - 1] for i in kept)
     minus_scale = f.neg(f.inv(next((v for v in reversed(b) if v), 1)))
     a = [0] * (x.n - j)
     for coef, row in zip(phi(f, b), basis):

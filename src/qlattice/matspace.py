@@ -54,7 +54,9 @@ class Rref:
 
     An Rref is immutable, so what is derived from its value can be kept on
     it.  Its instance dict holds that memo next to the four fields:
-    ``_path``, its Motzkin path, set by :func:`qlattice.psi.psi`;
+    ``_path``, its Motzkin path, and ``_ends``, the 1-based column where
+    each row's right-to-left reduction ends, both set by
+    :func:`qlattice.psi.psi`;
     ``_primary``, the primary rref of its Boolean block, set by
     :func:`qlattice.decomp.scd_cover` on each cover it returns (never on a
     primary itself); ``_valid``, set by :func:`rref_left` on the rref it

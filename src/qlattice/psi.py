@@ -19,9 +19,22 @@ pivots, the inessential columns (the H steps) and pivots (the H steps at
 left pivots), and whether the subspace is primary, that is whether its
 dimension equals the down count (|L| = #U + |L & R| and #U = #D).
 
+:func:`psi` also keeps each row's end: the 1-based column where the row
+step leaves the row, which is the least last-nonzero column over the row
+plus the span of the rows above it.  (The carried rows have distinct ends,
+so the step reaches the coset's least last-nonzero column.)  The ends are
+the right pivots, and they hold the section basis of every column: for a
+column j, the rows with pivot at or before j and end after j are exactly
+the rows whose tails past j are independent of the tails above, the rows
+that :func:`column_elimination` keeps for their tails, and a nonpivotal j
+is inessential exactly when it is no end, that is when j is not in L and
+step j is H.  Insertion reads its section basis and guard off them
+(:func:`qlattice.decomp._general_row`).
+
 The section route classifies one column by one forward elimination,
 :func:`column_elimination`: the guard and the coordinates of column
-insertion and deletion, and the reference behind
+deletion and of insertion into an rref that carries no row ends, the
+reference for the row ends, and the reference behind
 :func:`path_from_classification` and :func:`is_primary`.  The section at
 column j is the submatrix formed by the rows whose pivot is at or before j
 and the columns strictly after j.  Column j is essential when the data it
@@ -73,6 +86,12 @@ class ColumnClass(NamedTuple):
     essential: bool
 
 
+#: The four column classes, ``_CLASSES[pivotal][essential]``.
+_CLASSES = tuple(tuple(ColumnClass(pivotal, essential)
+                       for essential in (False, True))
+                 for pivotal in (False, True))
+
+
 def column_elimination(x, j):
     """(class, m, elimination) of column j of the rref x, 1 <= j <= n.
 
@@ -87,10 +106,10 @@ def column_elimination(x, j):
     w = x.n - j
     if m and x.pivots[m - 1] == j:
         e = _eliminate(x.field, [row[j:] for row in x.rows[:m]], w)
-        return ColumnClass(True, m - 1 in e.kept), m, e
+        return _CLASSES[True][m - 1 in e.kept], m, e
     e = _eliminate(x.field, [row[j:] + row[j - 1:j] for row in x.rows[:m]],
                    w + 1)
-    return ColumnClass(False, w + 1 in e.pivots), m, e
+    return _CLASSES[False][w + 1 in e.pivots], m, e
 
 
 def classify_column(x, j):
@@ -105,7 +124,8 @@ def classify_column(x, j):
 def classify_columns(x):
     """Classes of the columns of x read off its path, one pivot pass:
     pivotal at a left pivot, inessential at an H step."""
-    return tuple(ColumnClass(j in x.pivots, step != "H")
+    pivots = x.pivots
+    return tuple(_CLASSES[j in pivots][step != "H"]
                  for j, step in enumerate(psi(x).steps, start=1))
 
 
@@ -186,7 +206,9 @@ def psi(x):
     section at j.
 
     The path is a function of the value of x, which is immutable, so it is
-    kept in x's memo (``x.__dict__["_path"]``) and later calls return it.
+    kept in x's memo (``x.__dict__["_path"]``) and later calls return it,
+    and so are the rows' ends, 1-based, as a tuple in ``_ends`` (see the
+    module docstring).
     The first call checks x and raises ValueError when it is not a valid
     rref; pivot sets that spell no path raise RuntimeError."""
     path = x.__dict__.get("_path")
@@ -195,13 +217,16 @@ def psi(x):
     _check_rref(x, "psi")
     carried = [None] * x.n
     encode, right_pivot = _row_step(x.field)
-    right = 0
+    right, ends = 0, []
     for row in x.rows:
         t, r = right_pivot(carried, encode(row))
         carried[t] = r
         right |= 1 << t
+        ends.append(t + 1)
     left = sum(1 << (p - 1) for p in x.pivots)
-    path = x.__dict__["_path"] = _pivot_path(left, right, x.n, {})
+    memo = x.__dict__
+    path = memo["_path"] = _pivot_path(left, right, x.n, {})
+    memo["_ends"] = tuple(ends)
     return path
 
 

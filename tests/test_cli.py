@@ -486,6 +486,23 @@ def test_selftest_subset(capsys):
     assert all(r["ok"] for r in results)
 
 
+def test_only_selftest_imports_the_acceptance_battery():
+    """The command line imports qlattice.acceptance only when selftest
+    runs, so no other command compiles and runs the battery's module."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    probe = ("import sys; from qlattice.cli import main; "
+             "main(sys.argv[1:]); "
+             "print('qlattice.acceptance' in sys.modules, file=sys.stderr)")
+    for argv, loaded in ((("weight", "UHD"), "False"),
+                         (("selftest", "--only", "c03"), "True")):
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, loaded + "\n")
+
+
 def test_selftest_reports_each_key_once(capsys):
     code, out, _ = run(capsys, "selftest", "--only", "c03", "c03")
     assert code == 0 and len(out.splitlines()) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import random
 from bisect import bisect_right
 from itertools import combinations, product
@@ -16,8 +17,11 @@ from qlattice import (MotzkinPath, Rref, TooLargeError, boolean_block,
                       phi_inv, psi, sbd, scd, scd_cover, section_ranks,
                       set_and_subset, span, subspace_count, subspace_leq,
                       subspaces_with_paths, zero_subspace)
-from qlattice import decomp, identities
+from qlattice import decomp, identities, matspace
 from qlattice.acceptance import _eight_col_rref
+
+#: The module; the package name qlattice.psi is the function.
+psi_mod = importlib.import_module("qlattice.psi")
 
 F2 = gf(2)
 F3 = gf(3)
@@ -954,3 +958,76 @@ def test_inserted_rrefs_stay_frozen_and_their_memo_unseen(q):
     copy = Rref(cover.field, cover.n, cover.rows, cover.pivots)
     assert "_primary" not in vars(copy)
     assert cover == copy and hash(cover) == hash(copy)
+
+
+#: Largest n of the route equality per field: every subspace of F_q^n.
+ROUTE_N = {2: 5, 3: 4, 4: 3, 5: 3, 7: 3, 8: 3, 9: 3}
+
+
+def rows_by_both_routes(x):
+    """_general_row at every column 0..n + 1 (row or ValueError text) on a
+    copy psi has mapped, which reads its row ends, and on a memo-free copy,
+    which eliminates; the two lists must match."""
+    mapped = fresh(x)
+    psi(mapped)
+    assert "_ends" in vars(mapped)
+    return [[insertion_by(decomp._general_row, start, j)
+             for j in range(x.n + 2)] for start in (mapped, fresh(x))]
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_general_row_reads_the_row_ends_as_the_elimination_finds(q):
+    rows = 0
+    for n in range(ROUTE_N[q] + 1):
+        for x in enumerate_subspaces(gf(q), n):
+            by_ends, by_elimination = rows_by_both_routes(x)
+            assert by_ends == by_elimination
+            rows += sum(isinstance(v, tuple) for v in by_ends)
+    assert rows
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(subspaces)
+def test_general_row_routes_agree_on_every_field(x):
+    by_ends, by_elimination = rows_by_both_routes(x)
+    assert by_ends == by_elimination
+
+
+@pytest.mark.parametrize("q", [q for q in ALL_FIELDS if q != 2])
+def test_a_cover_step_from_a_mapped_subspace_eliminates_nothing(
+        q, monkeypatch):
+    """Over q != 2 every step up a chain from a primary psi has mapped, the
+    first and each later one, makes no _eliminate call, wrapped both where
+    matspace defines it and where psi imported it; a copy of the primary
+    that carries its path but no row ends, as scd_cover's covers do, makes
+    one per step, the elimination of its insertion's section."""
+    calls = []
+    real = matspace._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matspace, "_eliminate", counted)
+    monkeypatch.setattr(psi_mod, "_eliminate", counted)
+    steps = 0
+    for x in enumerate_subspaces(gf(q), 4 if q <= 5 else 3):
+        if psi(x).down_count != x.dim:
+            continue
+        y = x
+        while True:
+            calls.clear()
+            y = scd_cover(y)
+            if y is None:
+                break
+            assert calls == []
+            steps += 1
+        y = fresh(x)
+        vars(y)["_path"] = psi(x)
+        while True:
+            calls.clear()
+            y = scd_cover(y)
+            if y is None:
+                break
+            assert len(calls) == 1
+    assert steps

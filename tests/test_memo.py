@@ -1,9 +1,9 @@
-"""The memo an Rref carries: the path psi keeps on it, the primary and path
-scd_cover hands on to each cover it returns, and the packed rows of the F_2
-insertion kernel.  The memoised chain walk is checked against the memo-free
-route, which starts every step from a fresh copy of the subspace, and the
-memo is checked to stay invisible to equality, hashing, repr, pickling and
-the dataclass fields."""
+"""The memo an Rref carries: the path and row ends psi keeps on it, the
+primary and path scd_cover hands on to each cover it returns, and the packed
+rows of the F_2 insertion kernel.  The memoised chain walk is checked
+against the memo-free route, which starts every step from a fresh copy of
+the subspace, and the memo is checked to stay invisible to equality,
+hashing, repr, pickling and the dataclass fields."""
 
 import copy
 import dataclasses
@@ -146,6 +146,27 @@ def test_the_memo_stays_invisible(q):
         # a primary's memo never holds itself
         p = vars(y)["_primary"]
         assert "_primary" not in vars(p) and "_primary" not in vars(x)
+    assert covers
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_the_row_ends_stay_invisible(q):
+    """The row ends psi keeps next to the path (``_ends``) stay out of ==,
+    hash, repr and a pickle round trip, and a cover's memo stays
+    {_path, _primary}: scd_cover hands on no row ends."""
+    covers = 0
+    for x in every_subspace(q):
+        psi(x)
+        copy = fresh(x)
+        assert set(vars(x)) - set(vars(copy)) == {"_path", "_ends"}
+        back = pickle.loads(pickle.dumps(x))
+        for z in (x, back):
+            assert (z == copy and hash(z) == hash(copy)
+                    and repr(z) == repr(copy))
+        y = scd_cover(x)
+        if y is not None:
+            assert set(vars(y)) - set(vars(fresh(y))) == {"_path", "_primary"}
+            covers += 1
     assert covers
 
 

@@ -10,7 +10,8 @@ from qlattice import (MotzkinPath, Rref, classify_column, classify_columns,
                       section_rank, section_ranks, set_and_subset, span,
                       subspaces_with_paths, zero_subspace)
 from qlattice.acceptance import _eight_col_rref, _six_col_rref
-from qlattice.psi import _general_right_pivot, _pivot_path, _row_step
+from qlattice.psi import (_CLASSES, _general_right_pivot, _pivot_path,
+                          _row_step, column_elimination, right_pivots)
 
 F2 = gf(2)
 F3 = gf(3)
@@ -275,3 +276,53 @@ def test_primary_cells_are_the_pruned_walk(q):
         for p in enumerate_paths(n):
             assert sum(1 for _, path in cells if path == p) == (
                 (q - 1) ** p.down_count * p.weight()(q))
+
+
+#: Largest n of the row-end law per field: every subspace of F_q^n.
+END_N = {2: 6, 3: 5, 4: 4, 5: 4, 7: 3, 8: 3, 9: 3}
+
+
+def row_end_law(x):
+    """The row ends psi keeps on x, against the forward elimination of each
+    column 1..n: the rows that column_elimination keeps for their tails
+    (pivot in the tail, not on the appended column j) are the rows with
+    pivot at or before j and end after j, and j is nonpivotal and
+    inessential exactly when it is no left pivot and step j is H, that is
+    when it is neither a left pivot nor an end.  Returns the columns
+    checked."""
+    path = psi(x)
+    ends = vars(x)["_ends"]
+    assert len(ends) == x.dim and set(ends) == right_pivots(x)
+    for j in range(1, x.n + 1):
+        cls, m, e = column_elimination(x, j)
+        assert ([i for i, p in zip(e.kept, e.pivots) if p <= x.n - j]
+                == [i for i in range(m) if ends[i] > j])
+        insertable = not cls.pivotal and not cls.essential
+        assert insertable == (j not in x.pivots and path.steps[j - 1] == "H")
+        assert insertable == (j not in x.pivots and j not in ends)
+    return x.n
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_row_ends_hold_every_section_basis(q):
+    field = gf(q)
+    columns = sum(row_end_law(x) for n in range(END_N[q] + 1)
+                  for x in enumerate_subspaces(field, n))
+    assert columns
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(subspaces)
+def test_row_end_law_on_every_field(x):
+    row_end_law(x)
+
+
+def test_classes_are_the_four_values_built_once():
+    """classify_columns and column_elimination hand out the four
+    ColumnClass values built at import, never a new one."""
+    x = Rref(F3, 4, ((1, 0, 2, 0), (0, 1, 1, 0)), (1, 2))
+    assert [[(c.pivotal, c.essential) for c in row] for row in _CLASSES] == [
+        [(False, False), (False, True)], [(True, False), (True, True)]]
+    four = {id(c) for row in _CLASSES for c in row}
+    assert {id(c) for c in classify_columns(x)} <= four
+    assert {id(column_elimination(x, j)[0]) for j in range(1, 5)} <= four
