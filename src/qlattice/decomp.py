@@ -8,19 +8,17 @@ path-preserving); their multi-column iterates; the Boolean block spanned by
 a primary rref; and the chain decomposition obtained by transporting the
 bracket-matching chains of a finite Boolean algebra through the insertions.
 
-Deletion takes its guard and the lexically first basis of the section
-from the one forward elimination that classifies the column
-(:func:`qlattice.psi.column_elimination`).  Insertion over every field but
-F_2 reads them off the row ends that :func:`qlattice.psi.psi` keeps on a
-subspace it has mapped, with no elimination, and takes them from that
-elimination only for a subspace psi has not mapped, such as a member of
-:func:`scd_chains`.  Deletion reads the coordinates of the section rows in
-that basis from :func:`qlattice.matspace.express_in_rows`.  Insertion
-needs only the row c (I + b^T c)^-1 for the column-j entries b of the basis
-rows and c = phi(b), which by Sherman-Morrison is c / (1 + b . c^T).  phi
-keeps its running dot at l - 1, l the last nonzero entry of b seen so far
-(1 before any): at a nonzero x the dot gains x mu(-l, x) = x - l and moves
-to x - 1.
+Deletion, and insertion over every field but F_2, read their guard and
+the lexically first basis of the section off the rows' ends: the one row
+pass :func:`qlattice.psi._row_ends`, which :func:`qlattice.psi.psi` also
+runs, kept in the Rref's memo for every later insertion or deletion, with
+no elimination of the section.  Deletion reads the coordinates of the
+section rows in that basis from :func:`qlattice.matspace.express_in_rows`.
+Insertion needs only the row c (I + b^T c)^-1 for the column-j entries b
+of the basis rows and c = phi(b), which by Sherman-Morrison is
+c / (1 + b . c^T).  phi keeps its running dot at l - 1, l the last nonzero
+entry of b seen so far (1 before any): at a nonzero x the dot gains
+x mu(-l, x) = x - l and moves to x - 1.
 So 1 + b . phi(b)^T is the last nonzero entry of b, or 1 when b = 0, and
 the row is phi(b) divided by it; :func:`gamma_inv` remains as the
 reference matrix it is tested against.  Over F_2 that entry is 1 and phi(b)
@@ -64,8 +62,8 @@ S), v_g the row that ins_col(p, g) puts into p.  So a cover step,
 by :func:`_with_row`: one insertion.  p and the path are handed on in the
 cover's memo (see :class:`qlattice.matspace.Rref`), and deletion finds p
 only for a subspace that carries no memo, at the first step of a chain.
-Any other p is the subspace the first step mapped by psi, so every
-insertion into it reads the row ends and eliminates nothing.
+Either way p keeps its row ends from its first insertion on, so no later
+step of the chain runs a row pass or eliminates anything.
 Every step scans the bracket word, unchecked over the ground set its path
 keeps, in :func:`_bracket_scan`.
 """
@@ -78,7 +76,7 @@ from functools import cached_property, lru_cache
 
 from .matspace import Mat, Rref, _reduced, express_in_rows, left_pivots
 from .motzkin import MotzkinPath
-from .psi import column_elimination, psi, subspaces_with_paths
+from .psi import _row_ends, psi, subspaces_with_paths
 
 
 def mu(field, d, x):
@@ -144,15 +142,17 @@ def del_col(x, j):
     spans a codimension-1 subspace of x with the pivot at j gone and the
     same Motzkin path.  Each row u above the pivot row gains alpha_u .
     phi^-1(c) times it, where c and alpha_u are the coordinates of the pivot
-    row's tail and of row u's tail in the section's lexically first basis,
-    the rows kept by the guard's elimination (:func:`express_in_rows`)."""
-    cls, m, e = column_elimination(x, j)
-    if not (cls.pivotal and not cls.essential):
+    row's tail and of row u's tail in the section's lexically first basis
+    (:func:`express_in_rows`).  j is deletable when it is the m-th pivot and
+    the m-th row ends there (see :func:`_section`)."""
+    ends, kept = _section(x, j)
+    m = bisect_right(x.pivots, j)
+    if not (m and x.pivots[m - 1] == j and ends[m - 1] == j):
         raise ValueError(
             f"column {j} is not pivotal and inessential; cannot delete")
     f, w = x.field, x.n - j
     tails = [row[j:] for row in x.rows[:m]]
-    basis = [tails[i] for i in e.kept]
+    basis = [tails[i] for i in kept]
     b = phi_inv(f, express_in_rows(f, basis, tails[m - 1], w))
     rows = [list(r) for r in x.rows]
     prow = rows.pop(m - 1)
@@ -182,33 +182,27 @@ def _not_insertable(j):
         f"column {j} is not nonpivotal and inessential; cannot insert")
 
 
+def _section(x, j):
+    """(ends, kept) at column j of x, 1 <= j <= n: the rows' ends, which
+    hold the guards (:func:`qlattice.psi._row_ends`), and the section's
+    lexically first basis, the rows with pivot before j and end after j."""
+    if not 1 <= j <= x.n:
+        raise ValueError(f"column {j} outside [1, {x.n}]")
+    ends = _row_ends(x)
+    return ends, [i for i, p in enumerate(x.pivots) if p < j < ends[i]]
+
+
 def _general_row(x, j):
     """The new row of :func:`ins_col` over any field: e_j plus u . basis on
     the tail, for the section's lexically first basis, where u is
     c (I + b^T c)^-1 for the column-j entries b of the basis rows and
     c = phi(b), that is phi(b) over the last nonzero entry of b (1 when
     b = 0; see the module docstring).  Like the basis rows, it is zero at
-    every later pivot of x.
-
-    When psi has mapped x, the guard and the basis are read off the row
-    ends it keeps (``_ends``, see :mod:`qlattice.psi`): j is insertable when
-    it is neither a left pivot nor an end, and the basis is the rows above
-    j that end after j.  Any other x, such as a member of
-    :func:`scd_chains` or a primary found by deletion, takes them from the
-    forward elimination of :func:`qlattice.psi.column_elimination`, which
-    is the reference for that read."""
-    ends = x.__dict__.get("_ends")
-    if ends is None:
-        cls, _, e = column_elimination(x, j)
-        if cls.pivotal or cls.essential:
-            raise _not_insertable(j)
-        kept = e.kept
-    else:
-        if not 1 <= j <= x.n:
-            raise ValueError(f"column {j} outside [1, {x.n}]")
-        if j in x.pivots or j in ends:
-            raise _not_insertable(j)
-        kept = [i for i, p in enumerate(x.pivots) if p < j < ends[i]]
+    every later pivot of x.  j is insertable when it is neither a left
+    pivot nor a row's end (see :func:`_section`)."""
+    ends, kept = _section(x, j)
+    if j in x.pivots or j in ends:
+        raise _not_insertable(j)
     f = x.field
     basis = [x.rows[i][j:] for i in kept]
     b = tuple(x.rows[i][j - 1] for i in kept)
@@ -466,8 +460,9 @@ def scd_cover(x):
     puts into p, reduced by x (it can be nonzero at the pivots of I) and
     merged by :func:`_with_row`.  A chain stays in its block, so the cover
     is returned with p and P in its memo, and the next step up costs one
-    insertion and one merge, with no deletion and no psi pass.
-    Only an x without that memo has p found by deleting I from it.
+    insertion and one merge, with no deletion and no row pass: p keeps the
+    row ends its first insertion read.  Only an x without that memo has p
+    found by deleting I from it.
     """
     path = psi(x)
     ground = path.horizontals

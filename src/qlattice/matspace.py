@@ -54,9 +54,10 @@ class Rref:
 
     An Rref is immutable, so what is derived from its value can be kept on
     it.  Its instance dict holds that memo next to the four fields:
-    ``_path``, its Motzkin path, and ``_ends``, the 1-based column where
-    each row's right-to-left reduction ends, both set by
-    :func:`qlattice.psi.psi`;
+    ``_path``, its Motzkin path, set by :func:`qlattice.psi.psi`;
+    ``_ends``, the 1-based column where each row's right-to-left reduction
+    ends, set by psi's row pass (:func:`qlattice.psi._row_ends`) on every
+    subspace that psi maps or that an insertion or deletion reads;
     ``_primary``, the primary rref of its Boolean block, set by
     :func:`qlattice.decomp.scd_cover` on each cover it returns (never on a
     primary itself); ``_valid``, set by :func:`rref_left` on the rref it

@@ -19,23 +19,22 @@ pivots, the inessential columns (the H steps) and pivots (the H steps at
 left pivots), and whether the subspace is primary, that is whether its
 dimension equals the down count (|L| = #U + |L & R| and #U = #D).
 
-:func:`psi` also keeps each row's end: the 1-based column where the row
+:func:`_row_ends` keeps each row's end: the 1-based column where the row
 step leaves the row, which is the least last-nonzero column over the row
 plus the span of the rows above it.  (The carried rows have distinct ends,
 so the step reaches the coset's least last-nonzero column.)  The ends are
 the right pivots, and they hold the section basis of every column: for a
 column j, the rows with pivot at or before j and end after j are exactly
 the rows whose tails past j are independent of the tails above, the rows
-that :func:`column_elimination` keeps for their tails, and a nonpivotal j
-is inessential exactly when it is no end, that is when j is not in L and
-step j is H.  Insertion reads its section basis and guard off them
-(:func:`qlattice.decomp._general_row`).
+that :func:`column_elimination` keeps for their tails; a nonpivotal j
+is inessential exactly when it is no end (j not in L and step j H), and
+the m-th pivot exactly when the m-th row ends there.  The general
+insertion and deletion read their guard and basis off them.
 
-The section route classifies one column by one forward elimination,
-:func:`column_elimination`: the guard and the coordinates of column
-deletion and of insertion into an rref that carries no row ends, the
-reference for the row ends, and the reference behind
-:func:`path_from_classification` and :func:`is_primary`.  The section at
+The section route, one forward elimination per column,
+:func:`column_elimination`, is the reference for the row ends and behind
+:func:`classify_column`, :func:`path_from_classification` and
+:func:`is_primary`, the references for the path.  The section at
 column j is the submatrix formed by the rows whose pivot is at or before j
 and the columns strictly after j.  Column j is essential when the data it
 carries (the column above the diagonal in the nonpivotal case, the trailing
@@ -114,9 +113,7 @@ def column_elimination(x, j):
 
 def classify_column(x, j):
     """Classification of column j of the rref x, 1 <= j <= n; raises
-    ValueError when x is not a valid rref, as :func:`psi` does.
-    :func:`column_elimination` is left unchecked: it is the guard inside
-    every insertion and deletion."""
+    ValueError when x is not a valid rref, as :func:`psi` does."""
     _check_rref(x, "classify_column")
     return column_elimination(x, j)[0]
 
@@ -199,34 +196,39 @@ def _pivot_path(left, right, n, paths):
     return path
 
 
+def _row_ends(x):
+    """The rows' ends of the rref x, one row step per row, kept in x's memo
+    as ``_ends`` (see the module docstring); unchecked, and builds no path."""
+    ends = x.__dict__.get("_ends")
+    if ends is None:
+        # Slot n stays None: an F_2 zero row reads it at t = -1 and ends at 0.
+        carried = [None] * (x.n + 1)
+        encode, right_pivot = _row_step(x.field)
+        ends = []
+        for row in x.rows:
+            t, r = right_pivot(carried, encode(row))
+            carried[t] = r
+            ends.append(t + 1)
+        ends = x.__dict__["_ends"] = tuple(ends)
+    return ends
+
+
 def psi(x):
-    """The Motzkin path of a subspace, one row step per row of x, each row
-    encoded as :func:`_row_step` reads it (over F_2 an int, so each
-    subtraction is one XOR).  The prefix height at j equals the rank of the
-    section at j.
+    """The Motzkin path of a subspace: U on L - R, D on R - L, H elsewhere,
+    with the right pivots R read off the rows' ends (:func:`_row_ends`).
+    The prefix height at j equals the rank of the section at j.
 
     The path is a function of the value of x, which is immutable, so it is
-    kept in x's memo (``x.__dict__["_path"]``) and later calls return it,
-    and so are the rows' ends, 1-based, as a tuple in ``_ends`` (see the
-    module docstring).
-    The first call checks x and raises ValueError when it is not a valid
-    rref; pivot sets that spell no path raise RuntimeError."""
+    kept in x's memo (``_path``) and later calls return it.  The first call
+    checks x and raises ValueError when it is not a valid rref; pivot sets
+    that spell no path raise RuntimeError."""
     path = x.__dict__.get("_path")
     if path is not None:
         return path
     _check_rref(x, "psi")
-    carried = [None] * x.n
-    encode, right_pivot = _row_step(x.field)
-    right, ends = 0, []
-    for row in x.rows:
-        t, r = right_pivot(carried, encode(row))
-        carried[t] = r
-        right |= 1 << t
-        ends.append(t + 1)
+    right = sum(1 << (t - 1) for t in _row_ends(x))
     left = sum(1 << (p - 1) for p in x.pivots)
-    memo = x.__dict__
-    path = memo["_path"] = _pivot_path(left, right, x.n, {})
-    memo["_ends"] = tuple(ends)
+    path = x.__dict__["_path"] = _pivot_path(left, right, x.n, {})
     return path
 
 

@@ -1,6 +1,7 @@
 """Shared test references: the path-by-path reference for the weight sums
 by down count, the full Gauss-Jordan reference for the forward elimination
-kernel, the rank-one update matrix behind insertion, the primaries built
+kernel, the rank-one update matrix behind insertion, the per-column
+elimination routes of insertion and deletion, the primaries built
 cell by cell from involutions, and a seeded uniform sampler of subspaces
 with the Hypothesis strategy built on it.  The two worked rref families live
 in qlattice.acceptance, which checks them in c10 and c11."""
@@ -11,8 +12,10 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from qlattice import (Mat, QPoly, Rref, biane_fiber, enumerate_paths, gf,
-                      rref_left)
+from qlattice import (Mat, QPoly, Rref, biane_fiber, enumerate_paths,
+                      gamma_inv, gf, phi, phi_inv, rref_left)
+from qlattice.matspace import express_in_rows
+from qlattice.psi import column_elimination
 
 #: Every field the library supports.
 ALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
@@ -71,6 +74,57 @@ def gamma(field, b, c):
     rows = tuple(tuple(field.add(1 if i == t else 0, field.mul(b[i], c[t]))
                        for t in range(s)) for i in range(s))
     return Mat(field, s, rows)
+
+
+def general_row_by_elimination(x, j):
+    """The new row of an insertion at column j, its guard and section basis
+    taken from the per-column elimination (psi.column_elimination): the
+    reference for decomp._general_row, which reads them off the row ends.
+    The row is e_j plus u . basis on the tail, u = c (I + b^T c)^-1 by the
+    matrix decomp.gamma_inv, for the column-j entries b of the basis rows
+    and c = phi(b)."""
+    cls, _, e = column_elimination(x, j)
+    if cls.pivotal or cls.essential:
+        raise ValueError(
+            f"column {j} is not nonpivotal and inessential; cannot insert")
+    f = x.field
+    basis = [x.rows[i][j:] for i in e.kept]
+    b = tuple(x.rows[i][j - 1] for i in e.kept)
+    c = phi(f, b)
+    inverse = gamma_inv(f, b, c).rows
+    u = [0] * len(b)
+    for ci, row in zip(c, inverse):
+        for t, v in enumerate(row):
+            u[t] = f.add(u[t], f.mul(ci, v))
+    tail = [0] * (x.n - j)
+    for coef, row in zip(u, basis):
+        for t, v in enumerate(row):
+            tail[t] = f.add(tail[t], f.mul(coef, v))
+    return (0,) * (j - 1) + (1,) + tuple(tail)
+
+
+def del_col_by_elimination(x, j):
+    """decomp.del_col with its guard and section basis taken from the
+    per-column elimination (psi.column_elimination) and the coordinates from
+    express_in_rows: the reference for the row-end route."""
+    cls, m, e = column_elimination(x, j)
+    if not (cls.pivotal and not cls.essential):
+        raise ValueError(
+            f"column {j} is not pivotal and inessential; cannot delete")
+    f, w = x.field, x.n - j
+    tails = [row[j:] for row in x.rows[:m]]
+    basis = [tails[i] for i in e.kept]
+    b = phi_inv(f, express_in_rows(f, basis, tails[m - 1], w))
+    rows = [list(r) for r in x.rows]
+    prow = rows.pop(m - 1)
+    for rl, tail in zip(rows[:m - 1], tails):
+        dl = 0  # minus alpha_u . b
+        for coef, bv in zip(express_in_rows(f, basis, tail, w), b):
+            dl = f.sub(dl, f.mul(coef, bv))
+        for t in range(j - 1, x.n):
+            rl[t] = f.sub(rl[t], f.mul(dl, prow[t]))
+    return Rref(f, x.n, tuple(tuple(r) for r in rows),
+                x.pivots[:m - 1] + x.pivots[m:])
 
 
 def primary_cell(field, d):

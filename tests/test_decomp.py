@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_FIELDS, gamma, sample_subspace, subspaces
+from conftest import (ALL_FIELDS, del_col_by_elimination, gamma,
+                      general_row_by_elimination, sample_subspace, subspaces)
 from qlattice import (MotzkinPath, Rref, TooLargeError, boolean_block,
                       bracket_chains, bracket_cover, classify_column, del_col,
                       del_set, enumerate_subspaces, fiber_census, full_space,
@@ -964,15 +965,24 @@ def test_inserted_rrefs_stay_frozen_and_their_memo_unseen(q):
 ROUTE_N = {2: 5, 3: 4, 4: 3, 5: 3, 7: 3, 8: 3, 9: 3}
 
 
+def by_both_routes(route, reference, x):
+    """route and its elimination reference at every column 0..n + 1 of x
+    (result or ValueError text): the route on a memo-free copy, which reads
+    the copy's row ends, and the reference on x; the two lists must
+    match."""
+    y = fresh(x)
+    return ([insertion_by(route, y, j) for j in range(x.n + 2)],
+            [insertion_by(reference, x, j) for j in range(x.n + 2)])
+
+
 def rows_by_both_routes(x):
-    """_general_row at every column 0..n + 1 (row or ValueError text) on a
-    copy psi has mapped, which reads its row ends, and on a memo-free copy,
-    which eliminates; the two lists must match."""
-    mapped = fresh(x)
-    psi(mapped)
-    assert "_ends" in vars(mapped)
-    return [[insertion_by(decomp._general_row, start, j)
-             for j in range(x.n + 2)] for start in (mapped, fresh(x))]
+    """_general_row against general_row_by_elimination at every column."""
+    return by_both_routes(decomp._general_row, general_row_by_elimination, x)
+
+
+def deletions_by_both_routes(x):
+    """del_col against del_col_by_elimination at every column."""
+    return by_both_routes(del_col, del_col_by_elimination, x)
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS)
@@ -993,14 +1003,37 @@ def test_general_row_routes_agree_on_every_field(x):
     assert by_ends == by_elimination
 
 
-@pytest.mark.parametrize("q", [q for q in ALL_FIELDS if q != 2])
-def test_a_cover_step_from_a_mapped_subspace_eliminates_nothing(
-        q, monkeypatch):
-    """Over q != 2 every step up a chain from a primary psi has mapped, the
-    first and each later one, makes no _eliminate call, wrapped both where
-    matspace defines it and where psi imported it; a copy of the primary
-    that carries its path but no row ends, as scd_cover's covers do, makes
-    one per step, the elimination of its insertion's section."""
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_del_col_reads_the_row_ends_as_the_elimination_finds(q):
+    deletions = 0
+    for n in range(ROUTE_N[q] + 1):
+        for x in enumerate_subspaces(gf(q), n):
+            by_ends, by_elimination = deletions_by_both_routes(x)
+            assert by_ends == by_elimination
+            deletions += sum(isinstance(v, Rref) for v in by_ends)
+    assert deletions
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(subspaces)
+def test_del_col_routes_agree_on_every_field(x):
+    by_ends, by_elimination = deletions_by_both_routes(x)
+    assert by_ends == by_elimination
+
+
+def test_deletion_refuses_a_zero_row_over_f2():
+    """The unchecked del_col over F_2 reads the row ends of a zero row,
+    which no valid rref has, as 0 and refuses the column, where a row pass
+    that wrapped to the last column would never return."""
+    x = Rref(F2, 2, ((0, 1), (0, 0)), (2, 2))
+    with pytest.raises(ValueError, match="not pivotal and inessential"):
+        del_col(x, 2)
+    assert vars(x)["_ends"] == (2, 0)
+
+
+def counting_eliminations(monkeypatch):
+    """The list that records each _eliminate call, wrapped both where
+    matspace defines it and where psi imported it."""
     calls = []
     real = matspace._eliminate
 
@@ -1010,6 +1043,18 @@ def test_a_cover_step_from_a_mapped_subspace_eliminates_nothing(
 
     monkeypatch.setattr(matspace, "_eliminate", counted)
     monkeypatch.setattr(psi_mod, "_eliminate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [q for q in ALL_FIELDS if q != 2])
+def test_a_cover_step_from_a_mapped_subspace_eliminates_nothing(
+        q, monkeypatch):
+    """Over q != 2 every step up a chain from a primary psi has mapped, the
+    first and each later one, makes no _eliminate call, and so does every
+    step from a copy of the primary that carries its path but no row ends,
+    as scd_cover's covers do: its first insertion reads the copy's ends
+    off one row pass."""
+    calls = counting_eliminations(monkeypatch)
     steps = 0
     for x in enumerate_subspaces(gf(q), 4 if q <= 5 else 3):
         if psi(x).down_count != x.dim:
@@ -1029,5 +1074,30 @@ def test_a_cover_step_from_a_mapped_subspace_eliminates_nothing(
             y = scd_cover(y)
             if y is None:
                 break
-            assert len(calls) == 1
+            assert calls == []
     assert steps
+
+
+@pytest.mark.parametrize("q", [q for q in ALL_FIELDS if q != 2])
+def test_a_primary_found_by_deletion_keeps_its_row_ends(q, monkeypatch):
+    """Over q != 2, a chain whose first step finds its primary p by
+    deleting the inessential pivots of a non-primary x: p carries its row
+    ends after that step, in the cover's memo, and no later step of the
+    chain makes an _eliminate call."""
+    calls = counting_eliminations(monkeypatch)
+    later = 0
+    for x in enumerate_subspaces(gf(q), 4 if q <= 5 else 3):
+        if psi(x).down_count == x.dim:
+            continue
+        y = scd_cover(fresh(x))
+        if y is None:
+            continue
+        assert "_ends" in vars(vars(y)["_primary"])
+        while True:
+            calls.clear()
+            y = scd_cover(y)
+            if y is None:
+                break
+            assert calls == []
+            later += 1
+    assert later
