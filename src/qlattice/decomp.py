@@ -12,8 +12,9 @@ Deletion, and insertion over every field but F_2, read their guard and
 the lexically first basis of the section off the rows' ends: the one row
 pass :func:`qlattice.psi._row_ends`, which :func:`qlattice.psi.psi` also
 runs, kept in the Rref's memo for every later insertion or deletion, with
-no elimination of the section.  Deletion reads the coordinates of the
-section rows in that basis from :func:`qlattice.matspace.express_in_rows`.
+no elimination of the section.  Deletion reads the coordinates of all the
+section rows in that basis from one call of
+:func:`qlattice.matspace.express_in_rows`.
 Insertion needs only the row c (I + b^T c)^-1 for the column-j entries b
 of the basis rows and c = phi(b), which by Sherman-Morrison is
 c / (1 + b . c^T).  phi keeps its running dot at l - 1, l the last nonzero
@@ -26,12 +27,12 @@ is the complement of b (mu(1, x) is 1 + x), so the new row is e_j plus the
 XOR of the tails of the basis rows whose column-j entry is 0.
 :func:`ins_col` is one bit kernel for q = 2, :func:`_gf2_ins_col`, in
 the style of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010), carried along
-the chain: every row is an int, kept in the Rref's memo as ``_bits`` and
-packed only for a subspace that comes without it, such as a block's
-primary.  Its own XOR elimination of the section gives the guard and the
-new row, and the new row is XORed into the rows above j, with no field
-operation, no phi and no :func:`qlattice.matspace._eliminate`; the result
-carries its packed rows, so the next insertion into it reads ints.  On
+the chain: every row is an int in the walk's bit order, kept in the
+Rref's memo as ``_bits`` and packed only for a subspace that comes without
+it, such as a block's primary.  psi's F_2 row step over the section gives
+the guard and the new row, which is XORed into the rows above j, with no
+field operation, no phi and no :func:`qlattice.matspace._eliminate`; the
+result carries its packed rows, so the next insertion into it reads ints.  On
 every other field an insertion is the general row builder,
 :func:`_general_row`, and then the one rank-one merge, :func:`_with_row`,
 which takes the row unreduced; that route is valid at q = 2 too and is the
@@ -74,9 +75,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .algebra import gf
 from .matspace import Mat, Rref, _reduced, express_in_rows, left_pivots
 from .motzkin import MotzkinPath
-from .psi import _row_ends, psi, subspaces_with_paths
+from .psi import _row_ends, _row_step, psi, subspaces_with_paths
 
 
 def mu(field, d, x):
@@ -142,23 +144,23 @@ def del_col(x, j):
     spans a codimension-1 subspace of x with the pivot at j gone and the
     same Motzkin path.  Each row u above the pivot row gains alpha_u .
     phi^-1(c) times it, where c and alpha_u are the coordinates of the pivot
-    row's tail and of row u's tail in the section's lexically first basis
-    (:func:`express_in_rows`).  j is deletable when it is the m-th pivot and
-    the m-th row ends there (see :func:`_section`)."""
+    row's tail and of row u's tail in the section's lexically first basis,
+    all from one call of :func:`express_in_rows`.  j is deletable when it
+    is the m-th pivot and the m-th row ends there (see :func:`_section`)."""
     ends, kept = _section(x, j)
     m = bisect_right(x.pivots, j)
     if not (m and x.pivots[m - 1] == j and ends[m - 1] == j):
         raise ValueError(
             f"column {j} is not pivotal and inessential; cannot delete")
-    f, w = x.field, x.n - j
+    f = x.field
     tails = [row[j:] for row in x.rows[:m]]
-    basis = [tails[i] for i in kept]
-    b = phi_inv(f, express_in_rows(f, basis, tails[m - 1], w))
+    *alphas, c = express_in_rows(f, [tails[i] for i in kept], tails, x.n - j)
+    b = phi_inv(f, c)
     rows = [list(r) for r in x.rows]
     prow = rows.pop(m - 1)
-    for rl, tail in zip(rows[:m - 1], tails):
+    for rl, alpha in zip(rows, alphas):
         dl = 0  # minus alpha_u . b
-        for coef, bv in zip(express_in_rows(f, basis, tail, w), b):
+        for coef, bv in zip(alpha, b):
             dl = f.sub(dl, f.mul(coef, bv))
         if dl:
             f.sub_scaled(rl, dl, prow, j - 1)
@@ -230,13 +232,8 @@ def _with_row(x, j, v):
     return Rref(x.field, x.n, tuple(rows), x.pivots[:m] + (j,) + x.pivots[m:])
 
 
-def _packed(row):
-    """A row over F_2 as an int, bit n - c for column c."""
-    v = 0
-    for bit in row:
-        v = v + v + bit
-    return v
-
+#: The F_2 row step of :func:`qlattice.psi._row_step`, shared with the walk.
+_encode, _right_pivot = _row_step(gf(2))
 
 #: Maps the text digits of a binary numeral to the bytes 0 and 1.
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -245,27 +242,27 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 @lru_cache(maxsize=4096)
 def _unpacked(v):
     """The row tuple of a packed row behind a sentinel bit, 1 << n | row:
-    the binary digits of v after its leading 1.  Bounded, so it holds every
-    row up to n = 11 and evicts beyond."""
-    return tuple(format(v, "b")[1:].encode().translate(_BIT_BYTES))
+    the binary digits of v below its leading 1, lowest bit first.  Bounded,
+    so it holds every row up to n = 11 and evicts beyond."""
+    return tuple(format(v, "b")[:0:-1].encode().translate(_BIT_BYTES))
 
 
 def _gf2_ins_col(x, j):
     """:func:`ins_col` over F_2 as one bit kernel on the rows packed into
-    ints, bit n - c for column c, kept in the memo key ``_bits`` (see
-    :class:`qlattice.matspace.Rref`): x's packed rows are read from there,
-    or packed once, and the result carries its own, so the next insertion
-    into it packs nothing.
+    ints by psi's F_2 row step, bit c - 1 for column c, kept in the memo
+    key ``_bits`` (see :class:`qlattice.matspace.Rref`): x's packed rows are
+    read from there, or packed once, and the result carries its own, so the
+    next insertion into it packs nothing.
 
-    The guard is the forward elimination of the section (tail, column-j
-    bit) of the rows above column j by XOR: a row whose tail reduces to
-    zero with its column-j bit left set puts a pivot on column j, which is
-    then essential.  The rows whose tails stay independent are the
-    lexically first basis, and the new row is e_j plus the XOR of the tails
-    of those whose column-j bit is 0 (see the module docstring).  It is zero
-    at every pivot of x, so it is XORed into each row above j that has bit
-    j set, as :func:`_with_row` merges it, and goes in at its pivot's
-    place."""
+    The guard and the section's lexically first basis come from that row
+    step, ``right_pivot``, run over each row above column j masked to
+    column j and its tail: a row that ends at column j puts a pivot on it,
+    which is then essential; a row that ends past j is a basis row; a row
+    that reduces to zero is dependent.  The new row is e_j plus the XOR of
+    the tails of the basis rows whose column-j bit is 0 (see the module
+    docstring).  It is zero at every pivot of x, so it is XORed into each
+    row above j whose column-j bit is set, as :func:`_with_row` merges it,
+    and goes in at its pivot's place."""
     n = x.n
     if not 1 <= j <= n:
         raise ValueError(f"column {j} outside [1, {n}]")
@@ -276,25 +273,20 @@ def _gf2_ins_col(x, j):
     memo = x.__dict__
     bits = memo.get("_bits")
     if bits is None:
-        bits = memo["_bits"] = tuple(map(_packed, x.rows))
-    jbit = 1 << n - j
-    mask = jbit - 1
-    reduced = {}
+        bits = memo["_bits"] = tuple(map(_encode, x.rows))
+    jbit = 1 << j - 1
+    # Slot n stays None: a row that reduces to 0 reads it at t = -1.
+    carried = [None] * (n + 1)
     a = jbit
     for v in bits[:m]:
-        v &= jbit | mask
-        r = v
-        while r & mask:
-            top = (r & mask).bit_length()
-            if top not in reduced:
-                reduced[top] = r
-                if not v & jbit:
-                    a ^= v
-                break
-            r ^= reduced[top]
-        else:
-            if r:
-                raise _not_insertable(j)
+        v &= -jbit
+        t, r = _right_pivot(carried, v)
+        if t >= j:
+            carried[t] = r
+            if not v & jbit:
+                a ^= v
+        elif t == j - 1:
+            raise _not_insertable(j)
     sentinel = 1 << n
     rows, packed = list(x.rows), list(bits)
     for i in range(m):

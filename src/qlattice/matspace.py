@@ -8,9 +8,9 @@ subspace is the 0 x n empty rref.
 Every left-to-right row reduction is one forward pass, :func:`_eliminate`,
 which records the kept rows, reduced, and their pivots and nothing else.
 The rref, the rank and the lexically first basis are read from it, and
-:func:`express_in_rows` finds coordinates by one such pass over the rows
-with a unit block appended (the right pivots are read off the path, see
-:mod:`qlattice.psi`).
+:func:`express_in_rows` finds the coordinates of any number of targets
+from one such pass over the rows with a unit block appended (the right
+pivots are read off the path, see :mod:`qlattice.psi`).
 Containment in a subspace needs no elimination: :func:`subspace_leq` reduces
 each row against the rows of the given rref, which are already reduced.
 Row entries are combined only by the field's row kernel, ``GF.sub_scaled``
@@ -64,7 +64,7 @@ class Rref:
     builds, which is valid by construction from a :class:`Mat` of the
     documented form, so that the readers in :mod:`qlattice.psi` skip
     :func:`is_valid_rref` for it; and, over F_2, ``_bits``, the rows packed
-    into ints (bit n - c for column c), set by the insertion kernel
+    into ints (bit c - 1 for column c), set by the insertion kernel
     :func:`qlattice.decomp._gf2_ins_col` on each rref it reads or returns,
     so that the next insertion into it packs nothing.  The memo is no
     field: equality, hashing and ``repr`` read the four fields only, so a
@@ -75,8 +75,8 @@ class Rref:
     ``__init__`` writes the four fields straight into that dict, which
     costs about half of the generated frozen one (one ``object.__setattr__``
     per field); assignment still raises ``FrozenInstanceError``.  Over F_2
-    the rows stay tuples; the walk's bit rows (see
-    :func:`qlattice.psi._row_step`) are its own and never stored here.
+    the rows stay tuples; the walk packs its rows in the same bit order
+    (:func:`qlattice.psi._row_step`) but keeps them to itself.
     """
 
     field: GF
@@ -317,23 +317,26 @@ def lexically_first_basis(field, rows, n):
     return [i + 1 for i in _eliminate(field, rows, n).kept]
 
 
-def express_in_rows(field, basis_rows, target, n):
-    """Coordinates c with sum(c_l * basis_rows[l]) = target, or None when
-    the target is outside their span.  The basis rows must be linearly
-    independent, so that c is unique; ValueError otherwise.
+def express_in_rows(field, basis_rows, targets, n):
+    """For each target, the coordinates c with sum(c_l * basis_rows[l]) =
+    target, or None when the target is outside their span.  The basis rows
+    must be linearly independent, so that c is unique; ValueError otherwise.
 
-    One elimination of the rows (basis_l | e_l | 0) and (target | 0 | 1): a
-    basis row is dependent on those above it exactly when its pivot lands
-    past column n, and the target lies in the span exactly when its reduced
-    row's pivot does.  That row is then a multiple a (0 | -c | 1)."""
-    s = len(basis_rows)
-    e = _eliminate(field, [tuple(v) + tuple(int(t == l) for t in range(s + 1))
-                           for l, v in enumerate((*basis_rows, target))],
-                   n + s + 1)
-    if any(p > n for p in e.pivots[:s]):
+    One elimination of the rows (basis_l | -e_l): a basis row is dependent
+    on those above it exactly when its pivot lands past column n.  Each
+    (target | 0) is then reduced by the eliminated rows as
+    :func:`_eliminate` reduces a row, which leaves (0 | c) exactly when the
+    target lies in the span."""
+    s, neg1 = len(basis_rows), field.neg(1)
+    e = _eliminate(field, [(*v, *(neg1 if t == l else 0 for t in range(s)))
+                           for l, v in enumerate(basis_rows)], n + s)
+    if any(p > n for p in e.pivots):
         raise ValueError("the basis rows are linearly dependent")
-    if e.pivots[s] <= n:
-        return None
-    c = e.rows[s][n:]
-    field.scale(field.neg(field.inv(c.pop())), c)
-    return tuple(c)
+    found = []
+    for target in targets:
+        r = [*target, *(0,) * s]
+        for pc, pr in zip(e.pivots, e.rows):
+            if r[pc - 1]:
+                field.sub_scaled(r, r[pc - 1], pr, pc - 1)
+        found.append(None if any(r[:n]) else tuple(r[n:]))
+    return found

@@ -137,15 +137,19 @@ def _row_step(field):
     ends there.  Neither argument is changed.
 
     Over F_2 a row is an int with bit t for 0-based column t, in the
-    M4RI style of the insertion kernel
-    :func:`qlattice.decomp._gf2_ins_col`: the right pivot is the top bit
-    and each subtraction one XOR, with no field operation and no list
-    copy.  Over every other field ``encode`` is the identity and each
-    subtraction is one ``GF.sub_scaled``; that general step is also valid at
-    q = 2 and is the bit step's test reference."""
+    M4RI style: the right pivot is the top bit and each subtraction one
+    XOR, with no field operation and no list copy.  It is the library's one
+    F_2 reduction: the insertion kernel :func:`qlattice.decomp._gf2_ins_col`
+    packs and reduces its rows with it too.  Over every other field
+    ``encode`` is the identity and each subtraction is one
+    ``GF.sub_scaled``; that general step is also valid at q = 2 and is the
+    bit step's test reference."""
     if field.q == 2:
         def encode(row):
-            return sum(1 << t for t, e in enumerate(row) if e)
+            v = 0
+            for bit in reversed(row):
+                v = v + v + bit
+            return v
 
         def right_pivot(carried, r):
             while True:

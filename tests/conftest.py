@@ -114,12 +114,12 @@ def del_col_by_elimination(x, j):
     f, w = x.field, x.n - j
     tails = [row[j:] for row in x.rows[:m]]
     basis = [tails[i] for i in e.kept]
-    b = phi_inv(f, express_in_rows(f, basis, tails[m - 1], w))
+    b = phi_inv(f, express_in_rows(f, basis, [tails[m - 1]], w)[0])
     rows = [list(r) for r in x.rows]
     prow = rows.pop(m - 1)
     for rl, tail in zip(rows[:m - 1], tails):
         dl = 0  # minus alpha_u . b
-        for coef, bv in zip(express_in_rows(f, basis, tail, w), b):
+        for coef, bv in zip(express_in_rows(f, basis, [tail], w)[0], b):
             dl = f.sub(dl, f.mul(coef, bv))
         for t in range(j - 1, x.n):
             rl[t] = f.sub(rl[t], f.mul(dl, prow[t]))

@@ -813,10 +813,10 @@ def fresh(x):
 
 
 def carrying_bits(x):
-    """A copy of the F_2 rref x that carries its packed rows, bit n - c for
+    """A copy of the F_2 rref x that carries its packed rows, bit c - 1 for
     column c, in the memo, as an insertion result does."""
     y = fresh(x)
-    vars(y)["_bits"] = tuple(int("".join(map(str, row)), 2)
+    vars(y)["_bits"] = tuple(sum(bit << t for t, bit in enumerate(row))
                              for row in x.rows)
     return y
 
@@ -911,13 +911,13 @@ def test_gf2_insertion_packs_only_what_carries_no_packed_rows(monkeypatch):
     """Building the chains of scd over F_2^n, n <= 6, packs only the rows of
     the primaries: every other member is read from its memo."""
     packed = []
-    real_packed = decomp._packed
+    real_encode = decomp._encode
 
-    def counting_packed(row):
+    def counting_encode(row):
         packed.append(row)
-        return real_packed(row)
+        return real_encode(row)
 
-    monkeypatch.setattr(decomp, "_packed", counting_packed)
+    monkeypatch.setattr(decomp, "_encode", counting_encode)
     for n in range(7):
         packed.clear()
         primaries = [chain[0] for chain in scd(F2, n).chains
@@ -927,7 +927,7 @@ def test_gf2_insertion_packs_only_what_carries_no_packed_rows(monkeypatch):
 
 def test_gf2_chain_members_carry_their_rows_packed():
     """Every member of scd over F_2^n, n <= 6, that an insertion built or
-    read carries its rows packed, bit n - c for column c, and they unpack to
+    read carries its rows packed, bit c - 1 for column c, and they unpack to
     its rows; only a primary no insertion read carries none."""
     carried = 0
     for n in range(7):
@@ -938,9 +938,25 @@ def test_gf2_chain_members_carry_their_rows_packed():
                     assert is_primary(y) and len(chain) == 1
                     continue
                 assert all(0 <= b < 1 << n for b in bits)
-                assert tuple(tuple(int(c) for c in format(b, f"0{n}b"))
+                assert tuple(tuple(b >> t & 1 for t in range(n))
                              for b in bits) == y.rows
                 carried += 1
+    assert carried
+
+
+def test_gf2_chain_members_carry_the_walks_encoding():
+    """The F_2 kernel packs rows in the walk's bit order: every member of
+    scd over F_2^n, n <= 6, that carries packed rows carries psi's F_2
+    ``encode`` of its rows."""
+    encode = psi_mod._row_step(F2)[0]
+    carried = 0
+    for n in range(7):
+        for chain in scd(F2, n).chains:
+            for y in chain:
+                bits = vars(y).get("_bits")
+                if bits is not None:
+                    assert bits == tuple(map(encode, y.rows))
+                    carried += 1
     assert carried
 
 
@@ -1044,6 +1060,23 @@ def counting_eliminations(monkeypatch):
     monkeypatch.setattr(matspace, "_eliminate", counted)
     monkeypatch.setattr(psi_mod, "_eliminate", counted)
     return calls
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_del_col_eliminates_once(q, monkeypatch):
+    """Every deletion makes one _eliminate call, the one pass of
+    express_in_rows over its section basis, whatever the number of rows
+    above the pivot."""
+    calls = counting_eliminations(monkeypatch)
+    deletions = 0
+    for n in range(5 if q <= 3 else 4):
+        for x in enumerate_subspaces(gf(q), n):
+            for j in set_and_subset(x)[1]:
+                calls.clear()
+                del_col(x, j)
+                assert len(calls) == 1
+                deletions += 1
+    assert deletions
 
 
 @pytest.mark.parametrize("q", [q for q in ALL_FIELDS if q != 2])

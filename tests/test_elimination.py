@@ -85,7 +85,7 @@ def test_coordinates_and_membership_against_spans(q):
         inside = combine(field, [rng.randrange(q) for _ in basis], basis, n)
         anywhere = tuple(rng.randrange(q) for _ in range(n))
         for target in (inside, anywhere):
-            coeffs = express_in_rows(field, basis, target, n)
+            [coeffs] = express_in_rows(field, basis, [target], n)
             assert (coeffs is not None) == (target in space)
             if coeffs is not None:
                 assert combine(field, coeffs, basis, n) == target
@@ -93,22 +93,43 @@ def test_coordinates_and_membership_against_spans(q):
         # rows
         kept = [rows[i] for i in _eliminate(field, rows, n).kept]
         for row in rows:
-            coeffs = express_in_rows(field, kept, row, n)
+            [coeffs] = express_in_rows(field, kept, [row], n)
             assert combine(field, coeffs, kept, n) == tuple(row)
         if len(kept) < len(rows):
             # dependent rows give no unique coordinates
             with pytest.raises(ValueError, match="linearly dependent"):
-                express_in_rows(field, rows, anywhere, n)
+                express_in_rows(field, rows, [anywhere], n)
         # the empty basis spans the zero vector only
-        assert express_in_rows(field, [], (0,) * n, n) == ()
-        assert (express_in_rows(field, [], anywhere, n) is None) == any(
+        assert express_in_rows(field, [], [(0,) * n], n) == [()]
+        assert (express_in_rows(field, [], [anywhere], n)[0] is None) == any(
             anywhere)
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_coordinates_of_many_targets_match_one_call_each(q):
+    """One call over a mix of targets inside and outside the span returns,
+    in order, what one call per target returns; no target gives []."""
+    field = gf(q)
+    rng = random.Random(q)
+    mixed = 0
+    for n, rows in random_matrices(q):
+        basis = [rows[i - 1] for i in lexically_first_basis(field, rows, n)]
+        targets = [combine(field, [rng.randrange(q) for _ in basis], basis, n)
+                   if rng.random() < 0.5 else
+                   tuple(rng.randrange(q) for _ in range(n))
+                   for _ in range(rng.randrange(6))]
+        found = express_in_rows(field, basis, targets, n)
+        assert found == [express_in_rows(field, basis, [target], n)[0]
+                         for target in targets]
+        mixed += None in found and any(c is not None for c in found)
+        assert express_in_rows(field, basis, [], n) == []
+    assert mixed
 
 
 def test_coordinates_refuse_a_repeated_line():
     # two spanning rows of one line; the target is the first of them
     with pytest.raises(ValueError, match="linearly dependent"):
-        express_in_rows(gf(3), [(1, 0, 0), (2, 0, 0)], (1, 0, 0), 3)
+        express_in_rows(gf(3), [(1, 0, 0), (2, 0, 0)], [(1, 0, 0)], 3)
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS)
